@@ -41,6 +41,25 @@ class SchemaError(Exception):
     pass
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad integer {name} {value!r}") from exc
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _array(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
 def _vec(text) -> tuple:
     try:
         return tuple(int(t) for t in str(text).split(","))
@@ -68,7 +87,10 @@ def _field_from_spec(spec) -> FqField:
 
 
 def parse_field_text(text: str) -> dict:
-    parts = [int(t) for t in text.split(",")]
+    try:
+        parts = [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"bad scalar field {text!r}, expected p[,m[,c0,..,cm]]") from exc
     if len(parts) == 1:
         return {"p": parts[0]}
     if len(parts) == 2:
@@ -83,7 +105,7 @@ def _resolve_field(job) -> FqField:
     if env:
         return _field_from_spec(parse_field_text(env))
     q = job.get("params", {}).get("q")
-    p = prime_radical(int(q)) if q else 3
+    p = prime_radical(_int(q, "q")) if q else 3
     return FqField(p, 1)
 
 
@@ -101,21 +123,22 @@ def _char_json(eta: eig.SmoothCharacter) -> dict:
 
 
 def _pair(field: FqField, q: int, obj) -> eig.ParamPair:
+    obj = _object(obj, "pair")
     try:
         M = _comp(obj["M"])
-        chars = tuple(_char(field, q, c) for c in obj["chars"])
+        chars = tuple(_char(field, q, c) for c in _array(obj["chars"], "chars"))
     except KeyError as exc:
         raise SchemaError(f"pair needs M and chars: {obj!r}") from exc
     return eig.ParamPair(M, chars)
 
 
 def _block(field: FqField, q: int, obj):
-    kind = obj.get("kind")
+    kind = _object(obj, "block").get("kind")
     if kind == "supersingular":
-        return cls.Supersingular(int(obj["size"]), str(obj.get("label", "ss")),
+        return cls.Supersingular(_int(obj["size"], "size"), str(obj.get("label", "ss")),
                                  _char(field, q, obj["central"]))
     if kind == "steinberg":
-        return cls.Steinberg(int(obj["size"]), _comp(obj["Q"]),
+        return cls.Steinberg(_int(obj["size"], "size"), _comp(obj["Q"]),
                              _char(field, q, obj["eta"]))
     raise SchemaError(f"unknown block kind {kind!r}")
 
@@ -129,9 +152,10 @@ def _block_json(blk) -> dict:
 
 
 def _datum(field: FqField, q: int, obj) -> cls.InductionDatum:
+    obj = _object(obj, "datum")
     try:
         P = _comp(obj["P"])
-        blocks = tuple(_block(field, q, b) for b in obj["blocks"])
+        blocks = tuple(_block(field, q, b) for b in _array(obj["blocks"], "blocks"))
     except KeyError as exc:
         raise SchemaError(f"datum needs P and blocks: {obj!r}") from exc
     return cls.InductionDatum(P, blocks)
@@ -169,7 +193,8 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_satake(params, field, out):
-    n, q = int(params["n"]), int(params["q"])
+    # a non-integer n still raises here (ROADMAP item 5)
+    n, q = int(params["n"]), _int(params["q"], "q")
     V = make_weight(_vec(params["nu"]), q)
     if V.n != n:
         raise SchemaError("nu has the wrong rank")
@@ -187,7 +212,7 @@ def _cmd_satake(params, field, out):
 
 def _cmd_weights(params, field, out):
     action = params.get("action")
-    q = int(params["q"])
+    q = _int(params["q"], "q")
     if action == "restrict":
         V = make_weight(_vec(params["nu"]), q)
         res = restrict_to_levi(V, _comp(params["P"]))
@@ -198,7 +223,7 @@ def _cmd_weights(params, field, out):
         _emit(out, {"nu": ",".join(map(str, res.nu))})
     elif action == "partner":
         V = make_weight(_vec(params["nu"]), q)
-        res = weight_partner_for_change(V, int(params["i"]))
+        res = weight_partner_for_change(V, _int(params["i"], "i"))
         _emit(out, {"nu": ",".join(map(str, res.nu))})
     elif action == "regular":
         V = make_weight(_vec(params["nu"]), q)
@@ -210,7 +235,7 @@ def _cmd_weights(params, field, out):
 
 def _cmd_eigen(params, field, out):
     action = params.get("action")
-    q = int(params["q"])
+    q = _int(params["q"], "q")
     pair = _pair(field, q, params["pair"])
     if action == "eval-tau":
         val = eig.eval_tau(pair, _vec(params["lam"]))
@@ -229,7 +254,7 @@ def _cmd_eigen(params, field, out):
                     "chars": [_char_json(c) for c in res.chars]})
     elif action == "applicable":
         V = make_weight(_vec(params["nu"]), q)
-        ok = eig.change_of_weight_applicable(V, int(params["i"]), pair)
+        ok = eig.change_of_weight_applicable(V, _int(params["i"], "i"), pair)
         _emit(out, {"applicable": ok})
     else:
         raise SchemaError(f"unknown eigen action {action!r}")
@@ -238,7 +263,7 @@ def _cmd_eigen(params, field, out):
 
 def _cmd_classify(params, field, out):
     action = params.get("action", "constituents")
-    q = int(params["q"])
+    q = _int(params["q"], "q")
     datum = _datum(field, q, params["datum"])
     if action == "validate":
         _emit(out, {"valid": cls.validate(datum), "delta": cls.delta(datum)})
@@ -259,7 +284,7 @@ def _cmd_classify(params, field, out):
 
 
 def _cmd_lattice(params, field, out):
-    q = int(params["q"])
+    q = _int(params["q"], "q")
     datum = _datum(field, q, params["datum"])
     lattice = cls.submodule_lattice(datum)
     if params.get("dot"):
@@ -278,7 +303,7 @@ def _cmd_lattice(params, field, out):
 
 def _cmd_hecke0(params, field, out):
     action = params.get("action")
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     if action == "verify":
         res = {
             "braid_and_rotation": h0.verify_braid_and_rotation(n, field),
@@ -291,7 +316,7 @@ def _cmd_hecke0(params, field, out):
         _emit(out, res)
         return 0 if res["ok"] else 1
     if action == "derive":
-        cap = int(params.get("cap", max(n * n, 20)))
+        cap = _int(params.get("cap", max(n * n, 20)), "cap")
         report = h0.derive_rotation_invariance(n, cap, field)
         _emit(out, report.to_json())
         return 0
@@ -299,7 +324,8 @@ def _cmd_hecke0(params, field, out):
 
 
 def _cmd_verify(params, field, out):
-    report = orc.verify_gates(int(params.get("max_n", 3)), int(params.get("max_q", 3)))
+    report = orc.verify_gates(_int(params.get("max_n", 3), "max_n"),
+                              _int(params.get("max_q", 3), "max_q"))
     _emit(out, report)
     return 0 if report["ok"] else 1
 

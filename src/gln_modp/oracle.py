@@ -7,6 +7,14 @@ exterior powers of the standard module (the cases whose Weyl modules are
 already irreducible).  Size guards are hard errors: an oracle that samples
 is not an oracle.  Only prime q is supported; every gate downstream runs at
 prime q, and plain residue arithmetic keeps the exhaustive loops fast.
+
+The gates stay exhaustive over every element that can decide them, and
+skip only the elements that cannot.  The double-coset support gate claims
+that a projection is nonzero only on the big cell, so a kappa inside the
+big cell can never refute it: the gate scans the complement of the big cell,
+enumerated once per (n, q, Q, P), and its verdict is that of the full scan.
+Each module family is built once per (n, q), so the matrix of a group
+element on a module is computed once and shared by every gate.
 """
 
 from __future__ import annotations
@@ -14,16 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 
-from .root_datum import StandardParabolic
+from .finite_field import is_prime
+from .root_datum import StandardParabolic, all_parabolics, stab_levi
 from .weights import make_weight, is_M_regular
-from .root_datum import stab_levi
 
 SIZE_GUARD = 10 ** 6
+# (n, q) pairs whose groups, subspaces and module families stay cached
+_CACHED_GROUPS = 8
 
 
 def _require_prime(q: int):
-    if q < 2 or any(q % d == 0 for d in range(2, q)):
+    if not is_prime(q):
         raise ValueError(f"oracle requires a prime residue field size, got q={q}")
 
 
@@ -113,7 +124,7 @@ def _reduce_mod(R, pivots, v, q):
 
 # -- group and coset enumeration --------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_GROUPS)
 def gl_elements(n: int, q: int):
     """All of GL_n(F_q), with a hard size guard."""
     _require_prime(q)
@@ -164,7 +175,7 @@ def flag_cosets(n: int, q: int, P: StandardParabolic):
     return reps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * _CACHED_GROUPS)
 def subspaces(n: int, q: int, k: int):
     """All k-dimensional subspaces of F_q^n as canonical rref row bases."""
     _require_prime(q)
@@ -367,10 +378,12 @@ def exterior_power_module(n: int, q: int, k: int, b: int = 0) -> TinyWeightModul
     return TinyWeightModule(n, q, nu, tuple(subsets), gradings, columns)
 
 
+@lru_cache(maxsize=_CACHED_GROUPS)
 def supported_weight_modules(n: int, q: int):
     """The supported family: all symmetric powers in the irreducible range
-    and all exterior powers, twisted by determinant powers.  Returns a dict
-    from the canonical highest weight to a module builder."""
+    and all exterior powers, twisted by determinant powers.  Returns a
+    read-only mapping from the canonical highest weight to the module; it is
+    built once per (n, q), so every gate shares each module's matrix cache."""
     _require_prime(q)
     out = {}
     for b in range(q - 1):
@@ -380,7 +393,7 @@ def supported_weight_modules(n: int, q: int):
         for k in range(2, n):
             mod = exterior_power_module(n, q, k, b)
             out.setdefault(make_weight(mod.nu, q).nu, mod)
-    return out
+    return MappingProxyType(out)
 
 
 def _block_positions(P: StandardParabolic, upper: bool):
@@ -477,16 +490,12 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
 def in_big_cell(kappa, Q: StandardParabolic, P: StandardParabolic, q: int) -> bool:
     """Membership of kappa in (opposite parabolic of Q) * P, decided by
     transversality: for boundaries a of Q and b of P the spans kappa*V_b and
-    the coordinate complement W_a must intersect generically."""
-    n = len(kappa)
-    cols = [tuple(kappa[r][c] for r in range(n)) for c in range(n)]
-    for a in Q.boundaries:
-        tail = [tuple(1 if r == j else 0 for r in range(n)) for j in range(a, n)]
-        for b in P.boundaries:
-            stacked = cols[:b] + tail
-            if mat_rank(stacked, q) != min(b + n - a, n):
-                return False
-    return True
+    the coordinate complement W_a must intersect generically.  Stacking the
+    first b columns of kappa with the last n - a coordinate vectors gives
+    rank (n - a) + rank of the top-left a x b block, so the condition is
+    that every such block has rank min(a, b)."""
+    return all(mat_rank([row[:b] for row in kappa[:a]], q) == min(a, b)
+               for a in Q.boundaries for b in P.boundaries)
 
 
 def parabolic_elements(n: int, q: int, P: StandardParabolic, opposite=False):
@@ -495,6 +504,14 @@ def parabolic_elements(n: int, q: int, P: StandardParabolic, opposite=False):
     forbidden = _block_positions(P, upper=opposite)
     return [g for g in gl_elements(n, q)
             if all(g[a][b] == 0 for a, b in forbidden)]
+
+
+@lru_cache(maxsize=128)
+def _off_big_cell(n: int, q: int, Q: StandardParabolic, P: StandardParabolic):
+    """The kappa in GL_n(F_q) outside the big cell (opposite of Q) * P, in
+    the order of ``gl_elements``."""
+    return tuple(kappa for kappa in gl_elements(n, q)
+                 if not in_big_cell(kappa, Q, P, q))
 
 
 def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
@@ -506,31 +523,36 @@ def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
     Requires the weight to be regular for the Levis of both P and Q, except
     that one hypothesis may be dropped when the stabilizer Levi equals the
     other one exactly.
+
+    Only the kappa outside the big cell are scanned: a kappa in the big cell
+    satisfies the claim whatever its projection is, so skipping it leaves
+    the verdict of the scan over all of GL_n(F_q) unchanged.
     """
     V = make_weight(tuple(nu), q)
     stab = stab_levi(V.nu)
     reg_P, reg_Q = is_M_regular(V, P), is_M_regular(V, Q)
     if not ((reg_P and reg_Q) or stab == P or stab == Q):
         raise ValueError("regularity hypothesis violated for this (nu, P, Q)")
+    return next(_support_failures(n, q, V.nu, P, Q), None) is None
+
+
+def _support_failures(n: int, q: int, nu, P: StandardParabolic,
+                      Q: StandardParabolic):
+    """Every kappa outside the big cell with a nonzero projection, lazily
+    and in the order of ``gl_elements``: the support gate without its
+    regularity hypothesis."""
     mods = supported_weight_modules(n, q)
-    if V.nu not in mods:
+    if nu not in mods:
         raise ValueError(f"nu={nu} is outside the supported family")
-    mod = mods[V.nu]
+    mod = mods[nu]
 
     inv = invariant_space(mod, _upper_unipotent_gens(n, q, _block_positions(P, upper=True)))
     K, piv = coinvariant_kernel(
         mod, _upper_unipotent_gens(n, q, _block_positions(Q, upper=False)))
 
-    for kappa in gl_elements(n, q):
-        nonzero = False
-        for v in inv:
-            image = mod.act(kappa, v)
-            if any(_reduce_mod(K, piv, image, q)):
-                nonzero = True
-                break
-        if nonzero and not in_big_cell(kappa, Q, P, q):
-            return False
-    return True
+    for kappa in _off_big_cell(n, q, Q, P):
+        if any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv):
+            yield kappa
 
 
 # -- Iwahori-level coset pattern ---------------------------------------------
@@ -621,7 +643,7 @@ def verify_gates(max_n: int, max_q: int):
     breaker.  Returns a structured report."""
     report = {"order": [], "minuscule": [], "iwahori": [],
               "invariants": [], "double_coset": [], "ok": True}
-    primes = [p for p in range(2, max_q + 1) if all(p % d for d in range(2, p))]
+    primes = [p for p in range(2, max_q + 1) if is_prime(p)]
     for n in range(2, max_n + 1):
         for q in primes:
             if q ** (n * n) > SIZE_GUARD:
@@ -636,7 +658,6 @@ def verify_gates(max_n: int, max_q: int):
                 ok = check_iwahori_coset_count(n, q, i)
                 report["iwahori"].append({"n": n, "q": q, "i": i, "ok": ok})
                 report["ok"] &= ok
-            from .root_datum import all_parabolics
             mods = supported_weight_modules(n, q)
             for nu in sorted(mods):
                 for P in all_parabolics(n):

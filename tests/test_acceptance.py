@@ -4,6 +4,9 @@ counts, zero tolerance) and prints one pass/fail line.  Run with
     pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
+import io
+import json
 import random
 from itertools import combinations
 
@@ -34,7 +37,7 @@ from gln_modp.hecke0 import (
     derive_rotation_invariance, verify_braid_and_rotation,
     verify_translation_power, verify_word_shift_identity,
 )
-from gln_modp import oracle
+from gln_modp import cli, oracle
 
 
 def report(ok: bool, label: str):
@@ -227,10 +230,18 @@ def test_criterion_7_weight_bijection():
 
 def test_criterion_8_finite_group_gates():
     """Invariants/coinvariants and projection-support gates over the whole
-    supported family, n <= 3 and prime q <= 3."""
-    rep = oracle.verify_gates(3, 3)
+    supported family, n <= 3 and prime q <= 3.  The report is pinned byte
+    for byte to the one the full scan over GL_n(F_q) produced."""
+    out = io.StringIO()
+    code = cli.run({"command": "verify", "params": {"max_n": 3, "max_q": 3}}, out)
+    text = out.getvalue()
+    rep = json.loads(text)
     counts = {k: len(v) for k, v in rep.items() if isinstance(v, list)}
-    ok = rep["ok"] and counts["invariants"] > 0 and counts["double_coset"] > 0
+    assert counts == {"order": 4, "minuscule": 6, "iwahori": 10,
+                      "invariants": 60, "double_coset": 114}
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4a62dca1df358a0a7923c05638ca598b14ed8de1e393448c805a75ad1bcea425")
+    ok = code == 0 and rep["ok"]
     report(ok, "criterion 8: all finite-group gates pass on the supported "
                f"family for n <= 3, q <= 3 ({counts['invariants']} invariance, "
                f"{counts['double_coset']} support checks)")

@@ -134,3 +134,31 @@ def test_verify_job_small():
     code, text = run_job({"command": "verify", "params": {"max_n": 2, "max_q": 2}})
     assert code == 0
     assert json.loads(text)["ok"] is True
+
+
+def assert_schema_error(code, text):
+    assert code == 2
+    assert json.loads(text)["error"]["kind"] == "schema"
+
+
+def test_malformed_field_text(capsys):
+    for text in ("x", "3,y", "p"):
+        code = main(["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0",
+                     "--field", text])
+        assert_schema_error(code, capsys.readouterr().out)
+
+
+def test_malformed_pair_list(capsys):
+    code = main(["eigen", "supersingular", "--q", "3", "--pair", "[1]"])
+    assert_schema_error(code, capsys.readouterr().out)
+
+
+def test_malformed_pair_chars_int():
+    assert_schema_error(*run_job({"command": "eigen", "params": {
+        "action": "supersingular", "q": 3, "pair": {"M": [2], "chars": 1}}}))
+
+
+def test_malformed_n_list_or_null():
+    for n in ([3], None):
+        assert_schema_error(*run_job({"command": "hecke0",
+                                      "params": {"action": "verify", "n": n}}))

@@ -3,13 +3,15 @@ import math
 import pytest
 
 from gln_modp.oracle import (
-    bruhat_cell_sizes, check_double_coset_support, check_invariants_coinvariants,
-    check_iwahori_coset_count, check_minuscule_satake, exterior_power_module,
+    _block_positions, _off_big_cell, _reduce_mod, _support_failures,
+    _upper_unipotent_gens, bruhat_cell_sizes, check_double_coset_support,
+    check_invariants_coinvariants, check_iwahori_coset_count,
+    check_minuscule_satake, coinvariant_kernel, exterior_power_module,
     flag_cosets, gaussian_factorial_ratio, gl_elements, group_order_formula,
-    in_big_cell, iwasawa_orbit_counts, mat_mul, parabolic_elements,
-    subspaces, supported_weight_modules, sym_power_module,
+    in_big_cell, invariant_space, iwasawa_orbit_counts, mat_mul,
+    parabolic_elements, subspaces, supported_weight_modules, sym_power_module,
 )
-from gln_modp.root_datum import StandardParabolic
+from gln_modp.root_datum import StandardParabolic, all_parabolics
 
 B2 = StandardParabolic.torus(2)
 B3 = StandardParabolic.torus(3)
@@ -77,6 +79,13 @@ def test_supported_family_contents():
     assert (1, 0, 0) in fam3 and fam3[(1, 0, 0)].dim == 3
 
 
+def test_supported_family_is_built_once_and_read_only():
+    fam = supported_weight_modules(3, 2)
+    assert supported_weight_modules(3, 2) is fam
+    with pytest.raises(TypeError):
+        fam[(9, 9, 9)] = fam[(1, 0, 0)]
+
+
 def test_invariants_coinvariants_examples():
     assert check_invariants_coinvariants(2, 3, (2, 0), B2)
     assert check_invariants_coinvariants(2, 2, (0, 0), B2)
@@ -103,14 +112,69 @@ def test_double_coset_relaxed_hypothesis():
 
 
 def test_in_big_cell_against_brute_force():
-    for n, q, Pc, Qc in [(2, 3, (1, 1), (1, 1)), (3, 2, (2, 1), (1, 2))]:
-        P, Q = StandardParabolic(Pc), StandardParabolic(Qc)
+    # membership agrees with the product set Qbar * P for every pair of
+    # proper parabolics at (2, 2), (2, 3) and (3, 2)
+    cases = [(n, q, P, Q) for n, q in [(2, 2), (2, 3), (3, 2)]
+             for P in all_parabolics(n) for Q in all_parabolics(n)
+             if P.boundaries and Q.boundaries]
+    for n, q, P, Q in cases:
         big = set()
         for a in parabolic_elements(n, q, Q, opposite=True):
             for b in parabolic_elements(n, q, P):
                 big.add(mat_mul(a, b, q))
         for g in gl_elements(n, q):
             assert in_big_cell(g, Q, P, q) == (g in big)
+
+
+def test_off_big_cell_matches_brute_force():
+    # the restricted scan set is exactly {kappa : not in_big_cell}, and its
+    # size is |G| - |Qbar| |P| / |Qbar meet P|
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        G = gl_elements(n, q)
+        parabolics = all_parabolics(n)
+        upper = {P: parabolic_elements(n, q, P) for P in parabolics}
+        lower = {Q: set(parabolic_elements(n, q, Q, opposite=True)) for Q in parabolics}
+        for P in parabolics:
+            for Q in parabolics:
+                off = _off_big_cell(n, q, Q, P)
+                assert off == tuple(g for g in G if not in_big_cell(g, Q, P, q))
+                meet = sum(1 for g in upper[P] if g in lower[Q])
+                assert len(off) == len(G) - len(lower[Q]) * len(upper[P]) // meet
+
+
+def _full_scan_failures(n, q, nu, P, Q):
+    """The support gate written out over all of GL_n(F_q): every kappa whose
+    projection is nonzero although it lies outside the big cell."""
+    mod = supported_weight_modules(n, q)[nu]
+    inv = invariant_space(mod, _upper_unipotent_gens(n, q, _block_positions(P, upper=True)))
+    K, piv = coinvariant_kernel(
+        mod, _upper_unipotent_gens(n, q, _block_positions(Q, upper=False)))
+    failures = []
+    for kappa in gl_elements(n, q):
+        nonzero = any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
+        if nonzero and not in_big_cell(kappa, Q, P, q):
+            failures.append(kappa)
+    return failures
+
+
+def test_restricted_scan_reports_the_full_scan_failures():
+    # nu = (0,0) is not B-regular: every kappa off the big cell fails
+    failures = _full_scan_failures(2, 3, (0, 0), B2, B2)
+    assert failures == list(_off_big_cell(2, 3, B2, B2)) and len(failures) == 12
+    assert list(_support_failures(2, 3, (0, 0), B2, B2)) == failures
+    # every triple at (3, 2); those outside the regularity hypothesis can fail
+    outside, failing = 0, 0
+    for nu in supported_weight_modules(3, 2):
+        for P in all_parabolics(3):
+            for Q in all_parabolics(3):
+                failures = _full_scan_failures(3, 2, nu, P, Q)
+                assert list(_support_failures(3, 2, nu, P, Q)) == failures
+                try:
+                    assert check_double_coset_support(3, 2, nu, P, Q) == (not failures)
+                except ValueError:
+                    outside += 1
+                    failing += bool(failures)
+    assert (outside, failing) == (25, 17)
 
 
 def test_iwahori_coset_counts():
