@@ -90,7 +90,8 @@ def poly_is_irreducible(poly, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# one entry per extension field in use
+@lru_cache(maxsize=64)
 def default_modulus(p: int, m: int):
     """Smallest (lexicographic) monic irreducible of degree m over F_p."""
     if m == 1:
@@ -165,11 +166,12 @@ class FqElem:
     coeffs: tuple
 
     def _check(self, other) -> "FqElem":
-        if isinstance(other, int):
+        if isinstance(other, FqElem):
+            if other.field is self.field or other.field == self.field:
+                return other
+        elif isinstance(other, int):
             return self.field(other)
-        if not isinstance(other, FqElem) or other.field != self.field:
-            raise ValueError("mixed-field arithmetic")
-        return other
+        raise ValueError("mixed-field arithmetic")
 
     def __add__(self, other):
         other = self._check(other)
@@ -190,11 +192,14 @@ class FqElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        p = self.field.p
+        field = self.field
+        p = field.p
+        if field.m == 1:
+            return FqElem(field, ((self.coeffs[0] * other.coeffs[0]) % p,))
         prod_ = _poly_mul(_trim(self.coeffs), _trim(other.coeffs), p)
-        rem = _poly_mod(prod_, self.field.modulus, p)
-        rem = rem + (0,) * (self.field.m - len(rem))
-        return FqElem(self.field, rem)
+        rem = _poly_mod(prod_, field.modulus, p)
+        rem = rem + (0,) * (field.m - len(rem))
+        return FqElem(field, rem)
 
     __rmul__ = __mul__
 

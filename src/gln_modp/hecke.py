@@ -87,7 +87,8 @@ def identity_element(weight: WeightClass, field: FqField) -> HeckeElement:
     return basis_element(weight, "T", (0,) * weight.n, field)
 
 
-@lru_cache(maxsize=None)
+# an algebra_session pass fills about 3k entries, its whole job pool 4.2k
+@lru_cache(maxsize=1 << 14)
 def _moebius_int(mu, lam, comp) -> int:
     """Moebius function of the poset of antidominant coweights under >=_M.
 

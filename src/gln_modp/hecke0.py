@@ -17,7 +17,10 @@ With this convention the defining relations hold literally:
 
 and the basis multiplication closes with a single signed term,
 T_w T_{w'} = (-1)^(l(w)+l(w')-l(w*w')) T_{w*w'}, where * is the Demazure
-(absorbing) product computed letter by letter over a reduced word.
+(absorbing) product.  It is computed letter by letter over a reduced word of
+the left factor w, which in the derivation engine is a generator or a
+rotation (length at most 4 for n <= 5) while the right factor is long; see
+``signed_product``.
 
 Length is the affine inversion count
 
@@ -56,6 +59,14 @@ class ExtAffinePerm:
                 "shift the window by a multiple of n")
         object.__setattr__(self, "window", w)
 
+    @classmethod
+    def _trusted(cls, window: tuple) -> "ExtAffinePerm":
+        """Wrap a window already known to be a valid canonical tuple (a
+        canonicalized product or a translate of one), skipping validation."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "window", window)
+        return x
+
     @property
     def n(self) -> int:
         return len(self.window)
@@ -86,7 +97,8 @@ class ExtAffinePerm:
         return f"W{self.window}"
 
 
-@lru_cache(maxsize=None)
+# derive n = 5 leaves about 12k windows here at cap 25 and 20k at cap 60
+@lru_cache(maxsize=1 << 17)
 def _length(window) -> int:
     n = len(window)
     total = 0
@@ -144,7 +156,7 @@ def group_mul(x: ExtAffinePerm, y: ExtAffinePerm):
         raise ValueError("rank mismatch")
     raw = tuple(y.value(x.value(i)) for i in range(1, x.n + 1))
     win, wraps = _canonicalize(raw)
-    return ExtAffinePerm(win), wraps
+    return ExtAffinePerm._trusted(win), wraps
 
 
 def inverse(x: ExtAffinePerm):
@@ -157,7 +169,7 @@ def inverse(x: ExtAffinePerm):
         r = (j - 1) % n
         out[r] = i - (j - 1 - r)
     win, wraps = _canonicalize(tuple(out))
-    return ExtAffinePerm(win), wraps
+    return ExtAffinePerm._trusted(win), wraps
 
 
 def _apply_simple_left(k: int, x: ExtAffinePerm) -> ExtAffinePerm:
@@ -172,13 +184,23 @@ def _apply_simple_left(k: int, x: ExtAffinePerm) -> ExtAffinePerm:
             out.append(v - 1)
         else:
             out.append(v)
-    return ExtAffinePerm(tuple(out))
+    return ExtAffinePerm._trusted(tuple(out))
 
 
-def right_descents(x: ExtAffinePerm):
-    """Generator indices k (0..n-1) with l(x * s_k) < l(x)."""
-    lx = x.length()
-    return [k for k in range(x.n) if _apply_simple_left(k, x).length() < lx]
+def _value_positions(window) -> list:
+    """pos[v] for v = 0..n: the position i with f(i) = v on the window line.
+
+    Descent criterion: x * s_k swaps the values k and k+1 (mod n), so
+    l(x * s_k) < l(x) exactly when value k+1 already sits left of value k,
+    pos[k+1] < pos[k]; the swap changes no inversion but the one between
+    those two value classes."""
+    n = len(window)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(window, 1):
+        r = (v - 1) % n + 1
+        pos[r] = i + r - v
+    pos[0] = pos[n] - n
+    return pos
 
 
 def reduced_word(x: ExtAffinePerm):
@@ -186,44 +208,69 @@ def reduced_word(x: ExtAffinePerm):
     x = s_{letters[0]} * ... * s_{letters[-1]} * Pi^rot in diagram order.
     Deterministic: always peels the smallest descent."""
     rot = x.rotation
-    u = ExtAffinePerm(x.translation_free_window)
+    u = ExtAffinePerm._trusted(x.translation_free_window)
     letters = []
-    while True:
-        lu = u.length()
-        if lu == 0:
-            break
-        for k in range(u.n):
-            nxt = _apply_simple_left(k, u)
-            if nxt.length() < lu:
-                letters.append(k)
-                u = nxt
-                break
-        else:
-            raise AssertionError("positive-length element with no descent")
+    for _ in range(u.length()):
+        pos = _value_positions(u.window)
+        k = min(k for k in range(u.n) if pos[k + 1] < pos[k])
+        letters.append(k)
+        u = _apply_simple_left(k, u)
     return list(reversed(letters)), rot
+
+
+# only generators, rotations and short operator words occur as left factors
+# (12 windows for derive n = 4, 16 for n = 5)
+@lru_cache(maxsize=1024)
+def _left_word(window):
+    """Reduced word of the element with this window as (letters last-first,
+    rot), for walking it from the right."""
+    letters, rot = reduced_word(ExtAffinePerm._trusted(window))
+    return tuple(reversed(letters)), rot
 
 
 def signed_product(x: ExtAffinePerm, y: ExtAffinePerm):
     """The 0-Hecke (Demazure) product T_x T_y = sign * zeta^wraps * T_z.
 
-    Processes a reduced word of y letter by letter: a letter is appended
-    when the length rises and absorbed with a sign -1 when it would fall;
-    rotation factors multiply freely.  Returns (sign, wraps, z).
+    Walks a reduced word of the left factor x = s_a1 ... s_am Pi^rot, which
+    is short wherever products are hot, so T_x T_y = T_{s_a1} ... T_{s_am}
+    T_{Pi^rot y}.  It starts from the window of Pi^rot y, i -> y(i + rot),
+    and applies the letters last-first as position swaps: s_k * w swaps
+    w[k-1] and w[k], and s_0 * w = (w[n-1] - n, w[1:n-1], w[0] + n).  A letter
+    is taken when the length rises, i.e. when w(k) < w(k+1) with
+    w(0) = w(n) - n, and absorbed with a sign -1 otherwise.
+
+    By associativity of the Demazure product this equals walking a word of
+    y from x letter by letter (the reference in the tests): z is the same
+    element, the sign is (-1)^(l(x)+l(y)-l(z)) because each absorbed letter
+    is one length lost, and the rotation degree of z before canonicalization
+    is deg x + deg y, so wraps = floor((deg x + deg y) / n).  Returns
+    (sign, wraps, z).
     """
     if x.n != y.n:
         raise ValueError("rank mismatch")
-    letters, rot = reduced_word(y)
-    z, sign = x, 1
-    lz = z.length()
+    n = x.n
+    letters, rot = _left_word(x.window)
+    w = y.window
+    z = list(w[rot:] + tuple(v + n for v in w[:rot]))
+    sign = 1
     for k in letters:
-        nxt = _apply_simple_left(k, z)
-        ln = nxt.length()
-        if ln > lz:
-            z, lz = nxt, ln
+        d = 0 if k else n       # for s_0, z[k - 1] is z[n-1] and w(0) = w(n) - n
+        a, b = z[k - 1] - d, z[k]
+        if a < b:
+            z[k - 1], z[k] = b + d, a
         else:
             sign = -sign
-    win, wraps = _canonicalize(tuple(v + rot for v in z.window))
-    return sign, wraps, ExtAffinePerm(win)
+    win, wraps = _canonicalize(z)
+    return sign, wraps, ExtAffinePerm._trusted(win)
+
+
+def _accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c in a sparse dict, dropping the entry when it cancels."""
+    total = terms[key] + c if key in terms else c
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
 class Hecke0Element:
@@ -247,11 +294,7 @@ class Hecke0Element:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, self.algebra.field.zero) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+            _accumulate(out, w, c)
         return Hecke0Element(self.algebra, out)
 
     def __neg__(self):
@@ -300,22 +343,21 @@ class Hecke0Algebra:
     def Pi(self, k: int = 1) -> Hecke0Element:
         return self.basis(rotation(self.n, k))
 
+    def _scalar(self, sign: int, wraps: int) -> FqElem:
+        """sign * zeta^wraps, the scalar of a signed basis product."""
+        return self.field(sign) * self.zeta ** wraps
+
     def demazure_product(self, x: ExtAffinePerm, y: ExtAffinePerm):
         """Signed basis product as (scalar, result)."""
         sign, wraps, z = signed_product(x, y)
-        return self.field(sign) * self.zeta ** wraps, z
+        return self._scalar(sign, wraps), z
 
     def multiply(self, a: Hecke0Element, b: Hecke0Element) -> Hecke0Element:
         out = {}
         for x, cx in a.terms.items():
             for y, cy in b.terms.items():
-                sign, wraps, z = signed_product(x, y)
-                c = cx * cy * self.field(sign) * self.zeta ** wraps
-                acc = out.get(z, self.field.zero) + c
-                if acc:
-                    out[z] = acc
-                else:
-                    out.pop(z, None)
+                scalar, z = self.demazure_product(x, y)
+                _accumulate(out, z, cx * cy * scalar)
         return Hecke0Element(self, out)
 
     def word_product(self, letters, rot: int = 0) -> Hecke0Element:
@@ -461,8 +503,10 @@ class DerivationReport:
 
 
 def has_finite_descent(x: ExtAffinePerm) -> bool:
-    lx = x.length()
-    return any(_apply_simple_left(k, x).length() < lx for k in range(1, x.n))
+    """Whether l(x * s_k) < l(x) for some finite generator k = 1..n-1, read
+    off the value positions (see ``_value_positions``) without any length."""
+    pos = _value_positions(x.window)
+    return any(pos[k + 1] < pos[k] for k in range(1, x.n))
 
 
 def render_word(x: ExtAffinePerm) -> str:
@@ -498,16 +542,10 @@ class _ModuleEngine:
         """Left action of T_g on a module vector, projecting away symbols
         with finite right descents."""
         out = {}
-        zero = self.H.field.zero
         for sym, c in vec.items():
             sign, wraps, z = signed_product(g, sym)
-            if has_finite_descent(z):
-                continue
-            acc = out.get(z, zero) + c * self.H.field(sign) * self.H.zeta ** wraps
-            if acc:
-                out[z] = acc
-            else:
-                out.pop(z, None)
+            if not has_finite_descent(z):
+                _accumulate(out, z, c * self.H._scalar(sign, wraps))
         return out
 
     def reduce(self, vec):
@@ -525,13 +563,8 @@ class _ModuleEngine:
                 row, d = self.rows[key]
                 used = max(used, d)
                 for sym, rc in row.items():
-                    if sym == key:
-                        continue
-                    acc = work.get(sym, self.H.field.zero) - c * rc
-                    if acc:
-                        work[sym] = acc
-                    else:
-                        work.pop(sym, None)
+                    if sym != key:
+                        _accumulate(work, sym, -(c * rc))
             else:
                 out[key] = c
         return out, used
@@ -615,14 +648,22 @@ def derive_rotation_invariance(n: int, length_cap: int,
     for j, z in z_ops.items():
         assert not has_finite_descent(z), (j, z)
 
+    def idempotency_defect(g: ExtAffinePerm):
+        """T_g T_g v - T_g v as a module vector."""
+        gv = engine.apply(g, v)
+        out = engine.apply(g, gv)
+        for sym, c in gv.items():
+            _accumulate(out, sym, -c)
+        return out
+
     def op_name(j: int) -> str:
         return "".join(f"S_{k}" for k in range(j, n)) + "Π"
 
     # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0
     rel = {}
     for j in range(1, n + 1):
-        rel[z_ops[j]] = rel.get(z_ops[j], H.field.zero) + one
-    rel[identity(n)] = rel.get(identity(n), H.field.zero) - one
+        _accumulate(rel, z_ops[j], one)
+    _accumulate(rel, identity(n), -one)
     engine.add_relation(rel)
 
     cap_used = 0
@@ -632,27 +673,8 @@ def derive_rotation_invariance(n: int, length_cap: int,
             u_elem = translation((1,) * i + (0,) * (n - i))
             assert not has_finite_descent(u_elem)
 
-            zv = engine.apply(z, v)
-            zzv = engine.apply(z, zv)
-            idem_z = dict(zzv)
-            for sym, c in zv.items():
-                acc = idem_z.get(sym, H.field.zero) - c
-                if acc:
-                    idem_z[sym] = acc
-                else:
-                    idem_z.pop(sym, None)
-            r1 = engine.ensure_zero(idem_z)
-
-            uv = engine.apply(u_elem, v)
-            uuv = engine.apply(u_elem, uv)
-            idem_u = dict(uuv)
-            for sym, c in uv.items():
-                acc = idem_u.get(sym, H.field.zero) - c
-                if acc:
-                    idem_u[sym] = acc
-                else:
-                    idem_u.pop(sym, None)
-            r1u = engine.ensure_zero(idem_u)
+            r1 = engine.ensure_zero(idempotency_defect(z))
+            r1u = engine.ensure_zero(idempotency_defect(u_elem))
 
             # external hypothesis: U_i nilpotent; with idempotency this kills U_i v
             engine.add_relation({u_elem: one})
@@ -685,13 +707,8 @@ def derive_rotation_invariance(n: int, length_cap: int,
             ))
 
         final = {identity(n): one}
-        piv = engine.apply(rotation(n), v)
-        for sym, c in piv.items():
-            acc = final.get(sym, H.field.zero) - c
-            if acc:
-                final[sym] = acc
-            else:
-                final.pop(sym, None)
+        for sym, c in engine.apply(rotation(n), v).items():
+            _accumulate(final, sym, -c)
         rf = engine.ensure_zero(final)
         cap_used = max(cap_used, rf)
         report.final_round = rf

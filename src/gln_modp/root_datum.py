@@ -176,7 +176,8 @@ def leq_M(mu, lam, M: StandardParabolic) -> bool:
     return ps + lam[-1] - mu[-1] == 0
 
 
-@lru_cache(maxsize=None)
+# an algebra_session pass fills about 1.0k entries, its whole job pool 1.3k
+@lru_cache(maxsize=1 << 13)
 def _interval_above(mu, comp):
     M = StandardParabolic(comp)
     n = len(mu)

@@ -1,7 +1,12 @@
+import hashlib
+import io
+import json
 import random
 
 import pytest
 
+import gln_modp.hecke0 as h0mod
+from gln_modp import cli
 from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
     DerivationCapExceeded, ExtAffinePerm, Hecke0Algebra,
@@ -184,3 +189,152 @@ def test_cap_exceeded_reports_inconclusive(monkeypatch):
         h0mod.derive_rotation_invariance(2, 4)
     assert exc.value.report.status == "inconclusive"
     assert "not a refutation" in exc.value.report.conclusion
+
+
+# -- reference: the right-word walk, from the length definition alone ---------
+
+def _times_simple(x, k):
+    """x * s_k in diagram order: s_k swaps the value classes k and k+1 mod n."""
+    n = x.n
+
+    def act(v):
+        if v % n == k % n:
+            return v + 1
+        if v % n == (k + 1) % n:
+            return v - 1
+        return v
+
+    return ExtAffinePerm(tuple(act(v) for v in x.window))
+
+
+def _reference_reduced_word(x):
+    """Peel the smallest k with l(u * s_k) < l(u), comparing lengths."""
+    u = ExtAffinePerm(x.translation_free_window)
+    letters = []
+    while u.length():
+        k = next(k for k in range(x.n) if _times_simple(u, k).length() < u.length())
+        letters.append(k)
+        u = _times_simple(u, k)
+    return letters[::-1], x.rotation
+
+
+def _reference_signed_product(x, y):
+    """T_x T_y by walking a reduced word of the right factor y from x, then
+    multiplying by y's rotation and removing whole turns Pi^n."""
+    n = x.n
+    letters, rot = _reference_reduced_word(y)
+    z, sign = x, 1
+    for k in letters:
+        nxt = _times_simple(z, k)
+        if nxt.length() > z.length():
+            z = nxt
+        else:
+            sign = -sign
+    raw = tuple(v + rot for v in z.window)
+    wraps = sum(raw[i] - (i + 1) for i in range(n)) // n // n
+    return sign, wraps, ExtAffinePerm(tuple(v - n * wraps for v in raw)).window
+
+
+def _long_perm(rng, n, max_len):
+    """A random element of length at most max_len, built from the generators
+    and a random rotation."""
+    x = identity(n)
+    for _ in range(rng.randint(0, 3 * max_len)):
+        nxt, _ = group_mul(x, simple(n, rng.randrange(n)))
+        if nxt.length() <= max_len:
+            x = nxt
+    x, _ = group_mul(x, rotation(n, rng.randrange(n)))
+    return x
+
+
+def _short_factors(n):
+    """Identity, every generator (s_0 included), every rotation Pi^k, the
+    derivation's operators S_{j..(n-1)} Pi and its translations."""
+    out = [identity(n)] + [simple(n, k) for k in range(n)]
+    out += [rotation(n, k) for k in range(1, n)]
+    for j in range(1, n + 1):
+        x = identity(n)
+        for k in range(j, n):
+            x, _ = group_mul(x, simple(n, k))
+        out.append(group_mul(x, rotation(n))[0])
+    out += [translation((1,) * i + (0,) * (n - i)) for i in range(1, n)]
+    return out
+
+
+def test_reduced_word_matches_length_peeling():
+    rng = random.Random(11)
+    for n in (2, 3, 4, 5):
+        for _ in range(150):
+            x = _long_perm(rng, n, 15)
+            assert reduced_word(x) == _reference_reduced_word(x)
+
+
+def test_signed_product_matches_right_word_reference():
+    rng = random.Random(12)
+    for n in (2, 3, 4, 5):
+        shorts = _short_factors(n)
+        for _ in range(300):
+            x = rng.choice(shorts) if rng.random() < 0.5 else _long_perm(rng, n, 6)
+            y = _long_perm(rng, n, 15)
+            sign, wraps, z = signed_product(x, y)
+            assert (sign, wraps, z.window) == _reference_signed_product(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n,cap,longest", [(3, 20, 7), (4, 16, 15)])
+def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest):
+    """Every (generator or rotation or operator) x (module symbol) product the
+    engine forms at n = 3, and a fixed sample of them at n = 4."""
+    seen = {}
+
+    def recording(x, y):
+        out = signed_product(x, y)
+        seen.setdefault((x, y), out)
+        return out
+
+    monkeypatch.setattr(h0mod, "signed_product", recording)
+    try:
+        derive_rotation_invariance(n, cap)
+    except DerivationCapExceeded:
+        pass
+    pairs = sorted(seen, key=lambda p: (p[0].window, p[1].window))
+    assert max(y.length() for _, y in pairs) >= longest
+    if len(pairs) > 1500:
+        pairs = random.Random(13).sample(pairs, 1500)
+    for x, y in pairs:
+        sign, wraps, z = seen[x, y]
+        assert (sign, wraps, z.window) == _reference_signed_product(x, y), (x, y)
+
+
+def test_finite_descent_matches_length_definition():
+    rng = random.Random(14)
+    hits = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(600):
+            x = _long_perm(rng, n, 15)
+            expect = any(_times_simple(x, k).length() < x.length() for k in range(1, n))
+            assert has_finite_descent(x) == expect, x
+            hits += expect
+    assert 0 < hits < 2400
+
+
+# sha256 of the ``hecke0 derive`` JSON at the CLI default cap, as the
+# right-word engine printed it.  ``minimal_sufficient_cap`` is pinned as it is
+# reported today (1, 3, 6), although the smallest working caps are larger; the
+# fix of its depth propagation must update these pins deliberately.
+DERIVE_PINS = {
+    2: (1, "edb1047bb5f6b7b1e54a78fc2e9de98bbc368fa81b21053ec7d677734afbed04"),
+    3: (3, "085fca85da0e2ab538125ca86c70b16909e0532db403aff15708d052f7829102"),
+    4: (6, "531f0979b59e79885dd0d770df3cbf0054e57c60d94c3e14957e711a320c0e15"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DERIVE_PINS))
+def test_derive_output_is_pinned(n):
+    out = io.StringIO()
+    code = cli.run({"command": "hecke0", "scalar_field": {"p": 3, "m": 1},
+                    "params": {"action": "derive", "n": n}}, out)
+    text = out.getvalue()
+    cap, digest = DERIVE_PINS[n]
+    assert code == 0
+    assert json.loads(text)["minimal_sufficient_cap"] == cap
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
