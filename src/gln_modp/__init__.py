@@ -31,8 +31,7 @@ from .classify import (
     ConstituentPoset, InductionDatum, IrreducibleRep, Steinberg,
     SubmoduleLattice, Supersingular, constituents, delta,
     is_irreducible_principal_series, lower_sets, param_pair,
-    principal_series_tame_sufficient, steinberg_constituents,
-    submodule_lattice, validate,
+    principal_series_tame_sufficient, submodule_lattice, validate,
 )
 from .hecke0 import (
     DerivationCapExceeded, DerivationReport, ExtAffinePerm, Hecke0Algebra,

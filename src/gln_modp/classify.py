@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .eigen import ParamPair, SmoothCharacter
-from .root_datum import StandardParabolic, parabolics_with_levi_trace
+from .root_datum import StandardParabolic
 
 
 @dataclass(frozen=True)
@@ -210,13 +210,6 @@ def constituents(datum: InductionDatum) -> ConstituentPoset:
     return ConstituentPoset(tuple(elements), tuple(choices))
 
 
-def steinberg_constituents(P: StandardParabolic, Q: StandardParabolic):
-    """Constituents of the induction of a generalized Steinberg block from
-    the Levi of P: one for each standard parabolic whose trace on the Levi
-    is Q."""
-    return parabolics_with_levi_trace(P, Q)
-
-
 def param_pair(rep) -> ParamPair:
     """The eigenvalue pair shared by every weight of the representation.
 
@@ -250,17 +243,32 @@ def principal_series_tame_sufficient(chars) -> bool:
     return all(a.tame_exponent != b.tame_exponent for a, b in zip(chars, chars[1:]))
 
 
+# a poset with more lower sets than this is refused while they are listed, so a
+# wide poset (an antichain of 32 has 2^32) fails fast instead of exhausting memory
+_MAX_LOWER_SETS = 1 << 20
+
+
 def lower_sets(leq, k: int):
     """All lower sets of a poset on range(k) given by its order predicate,
-    sorted by (size, elements).  Intended for the small constituent posets."""
-    if k > 20:
+    sorted by (size, elements).
+
+    The elements are added in a linear extension (by down-set size); the lower
+    sets of each prefix are those of the previous prefix plus, for those
+    holding all strict predecessors of the new element, their union with it.
+    The cost is O(k * #lower sets), not O(2^k).  Constituent posets are the
+    Boolean posets B_delta with k = 2^delta: delta <= 5 (7,581 lower sets) is
+    accepted and delta = 6 (7,828,354) is refused before any enumeration.
+    """
+    if k > 32:
         raise ValueError("poset too large for exhaustive lower-set enumeration")
-    down = [frozenset(i for i in range(k) if leq(i, j)) for j in range(k)]
-    out = []
-    for bits in range(1 << k):
-        s = frozenset(i for i in range(k) if bits >> i & 1)
-        if all(down[j] <= s for j in s):
-            out.append(s)
+    below = [sum(1 << i for i in range(k) if i != j and leq(i, j)) for j in range(k)]
+    masks = [0]
+    for j in sorted(range(k), key=lambda j: below[j].bit_count()):
+        bit, need = 1 << j, below[j]
+        masks += [m | bit for m in masks if need & m == need]
+        if len(masks) > _MAX_LOWER_SETS:
+            raise ValueError("poset too large for exhaustive lower-set enumeration")
+    out = [frozenset(i for i in range(k) if m >> i & 1) for m in masks]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

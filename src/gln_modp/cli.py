@@ -176,15 +176,17 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
     multiset, one edge per covering relation, deterministic ordering."""
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     sets = lattice.sets
+    short = [rep.short() for rep in lattice.poset.elements]
     for idx, s in enumerate(sets):
-        if s:
-            label = " + ".join(lattice.poset.elements[j].short() for j in sorted(s))
-        else:
-            label = "0"
+        label = " + ".join(short[j] for j in sorted(s)) if s else "0"
         lines.append(f'  L{idx} [label="{label}"];')
+    # a lower set is covered exactly by the lower sets one element larger;
+    # adding a larger j gives a later set in the (size, elements) order, so
+    # each node's targets come out in index order
+    index = {s: idx for idx, s in enumerate(sets)}
     for a, sa in enumerate(sets):
-        for b, sb in enumerate(sets):
-            if len(sb) == len(sa) + 1 and sa < sb:
+        for j in range(len(short)):
+            if j not in sa and (b := index.get(sa | {j})) is not None:
                 lines.append(f"  L{a} -> L{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -149,15 +149,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         raise ValueError("operands live in different Hecke algebras")
     ta = satake_T_to_tau(a) if a.basis == "T" else a
     tb = satake_T_to_tau(b) if b.basis == "T" else b
-    out = {}
-    for lam, c in ta.terms.items():
-        for mu, d in tb.terms.items():
-            key = add(lam, mu)
-            acc = out.get(key, a.field.zero) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+    out = ta.map_terms(lambda lam: {add(lam, mu): d for mu, d in tb.terms.items()})
     prod = HeckeElement(a.weight, "tau", out, a.field)
     return satake_tau_to_T(prod) if a.basis == "T" else prod
 

@@ -1,16 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp.finite_field import FqField
 from gln_modp.classify import (
     InductionDatum, IrreducibleRep, Steinberg, Supersingular,
     constituents, delta, is_irreducible_principal_series, lower_sets,
-    param_pair, principal_series_tame_sufficient, steinberg_constituents,
-    submodule_lattice, validate,
+    param_pair, principal_series_tame_sufficient, submodule_lattice, validate,
 )
 from gln_modp.eigen import SmoothCharacter, is_supersingular, trivial_character
-from gln_modp.root_datum import StandardParabolic, all_parabolics
+from gln_modp.root_datum import StandardParabolic, all_parabolics, parabolics_with_levi_trace
 
 Q = 3
 F9 = FqField(3, 2)
@@ -67,11 +67,11 @@ def test_constituents_examples():
 
 
 def test_steinberg_constituents():
-    out = steinberg_constituents(StandardParabolic((2, 1)), StandardParabolic.from_delta(3, []))
+    out = parabolics_with_levi_trace(StandardParabolic((2, 1)), StandardParabolic.from_delta(3, []))
     assert {P.composition for P in out} == {(1, 1, 1), (1, 2)}
-    out = steinberg_constituents(StandardParabolic.full(3), StandardParabolic((2, 1)))
+    out = parabolics_with_levi_trace(StandardParabolic.full(3), StandardParabolic((2, 1)))
     assert out == (StandardParabolic((2, 1)),)
-    out = steinberg_constituents(StandardParabolic.torus(2), StandardParabolic.torus(2))
+    out = parabolics_with_levi_trace(StandardParabolic.torus(2), StandardParabolic.torus(2))
     assert {P.composition for P in out} == {(1, 1), (2,)}
 
 
@@ -161,6 +161,64 @@ def test_lattice_laws():
 def test_lower_sets_of_antichain():
     no_order = lambda i, j: i == j
     assert len(lower_sets(no_order, 3)) == 8
+
+
+def reference_lower_sets(leq, k):
+    """Every subset of range(k) that contains the down-set of each of its
+    elements, sorted by (size, elements): the exhaustive 2^k filter."""
+    down = [frozenset(i for i in range(k) if leq(i, j)) for j in range(k)]
+    out = []
+    for bits in range(1 << k):
+        s = frozenset(i for i in range(k) if bits >> i & 1)
+        if all(down[j] <= s for j in s):
+            out.append(s)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+@st.composite
+def posets(draw):
+    """A random partial order on range(k), k <= 12: a DAG on a shuffled
+    labelling (so the labels are not a linear extension), transitively
+    closed."""
+    k = draw(st.integers(0, 12))
+    label = draw(st.permutations(range(k)))
+    below = [{j} for j in range(k)]
+    for b in range(k):
+        for a in range(b):
+            if draw(st.booleans()):
+                below[label[b]] |= below[label[a]]
+    return (lambda i, j: i in below[j]), k
+
+
+@given(posets())
+def test_lower_sets_match_exhaustive_filter(poset):
+    leq, k = poset
+    assert lower_sets(leq, k) == reference_lower_sets(leq, k)
+
+
+def test_dedekind_counts_and_lattice_closure():
+    one = trivial_character(F9, Q)
+    for d, count in enumerate((2, 3, 6, 20, 168, 7581)):
+        lat = submodule_lattice(principal_series((one,) * (d + 1)))
+        assert len(lat.poset) == 2 ** d and lat.count == count
+        sets = set(lat.sets)
+        assert len(sets) == count
+        assert all(lat.principal[j] <= s for s in sets for j in s)
+        if d <= 4:
+            assert all(a | b in sets and a & b in sets for a in sets for b in sets)
+        else:
+            # every lower set is a union of principal ones, so closure under
+            # joining one principal set gives closure under unions and
+            # intersections (57M pairs are too many to list here)
+            assert frozenset() in sets
+            assert all(s | p in sets for s in sets for p in lat.principal)
+
+
+def test_lower_sets_refuse_large_posets():
+    with pytest.raises(ValueError, match="poset too large"):
+        lower_sets(lambda i, j: i <= j, 33)
+    with pytest.raises(ValueError, match="poset too large"):
+        lower_sets(lambda i, j: i == j, 32)  # an antichain: 2^32 lower sets
 
 
 def test_chain_lattice_for_single_run():

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
+import time
 
 from gln_modp.cli import export_lattice_dot, main, run
-from gln_modp.classify import InductionDatum, Steinberg, submodule_lattice
+from gln_modp.classify import InductionDatum, Steinberg, Supersingular, submodule_lattice
 from gln_modp.eigen import trivial_character
 from gln_modp.finite_field import FqField
 from gln_modp.root_datum import StandardParabolic
@@ -76,6 +78,68 @@ def test_dot_shape_gl3():
         tuple(Steinberg(1, StandardParabolic.full(1), one) for _ in range(3)))
     dot = export_lattice_dot(submodule_lattice(datum))
     assert dot.count("[label=") == 6
+
+
+def reference_lattice_dot(lattice):
+    """The DOT text with covers found by comparing every pair of lower sets."""
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    sets = lattice.sets
+    for idx, s in enumerate(sets):
+        if s:
+            label = " + ".join(lattice.poset.elements[j].short() for j in sorted(s))
+        else:
+            label = "0"
+        lines.append(f'  L{idx} [label="{label}"];')
+    for a, sa in enumerate(sets):
+        for b, sb in enumerate(sets):
+            if len(sb) == len(sa) + 1 and sa < sb:
+                lines.append(f"  L{a} -> L{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dot_covers_match_pairwise_reference():
+    one = trivial_character(FqField(3, 2), 3)
+    st1 = Steinberg(1, StandardParabolic.full(1), one)
+    two_runs = InductionDatum(   # runs split by a supersingular block
+        StandardParabolic((1, 2, 2, 1, 1)),
+        (st1, Steinberg(2, StandardParabolic.torus(2), one),
+         Supersingular(2, "s", one), st1, st1))
+    data = [InductionDatum(StandardParabolic.torus(n), (st1,) * n) for n in range(1, 6)]
+    for datum in data + [two_runs]:
+        lattice = submodule_lattice(datum)
+        assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
+
+
+def test_lattice_output_pinned():
+    # sha256 of `lattice` output for the length-16 principal series
+    # (delta = 4), captured from the exhaustive enumeration
+    for dot, digest in (
+            (False, "49436004b95209d8ccf89c3fb4b155bf31323869157c3d7f5371971d71137b47"),
+            (True, "a00410d9da865688ea659356c61561db755313f8a4ee0045951142e94e873a30")):
+        code, text = run_job({"command": "lattice",
+                              "params": {"q": 3, "datum": trivial_ps_datum(5), "dot": dot}})
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_lattice_delta_5_runs_and_delta_6_is_refused():
+    for dot in (False, True):
+        code, text = run_job({"command": "lattice",
+                              "params": {"q": 3, "datum": trivial_ps_datum(6), "dot": dot}})
+        assert code == 0
+        if dot:
+            assert text.count("[label=") == 7581
+        else:
+            assert json.loads(text)["lower_set_count"] == 7581
+    start = time.perf_counter()
+    code, text = run_job({"command": "lattice",
+                          "params": {"q": 3, "datum": trivial_ps_datum(7)}})
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(text) == {"error": {
+        "kind": "domain",
+        "message": "poset too large for exhaustive lower-set enumeration"}}
 
 
 def test_weights_jobs():
