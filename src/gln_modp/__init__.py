@@ -7,7 +7,7 @@ oracle for the ground-truth gates.
 
 from .finite_field import FqElem, FqField
 from .root_datum import (
-    StandardParabolic, WeylPerm, all_parabolics,
+    StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
     is_dominant, leq_M, pairing, parabolics_with_levi_trace, stab_levi,
 )

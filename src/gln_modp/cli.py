@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import classify as cls
 from . import eigen as eig
@@ -437,6 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then reused: no
+    argument has a mutable default and every parse builds a new Namespace."""
+    return build_parser()
+
+
 def _job_from_args(args) -> dict:
     if args.json_in:
         with open(args.json_in, "r", encoding="utf-8") as fh:
@@ -483,7 +491,7 @@ def _merge_negative_vectors(argv):
 
 def main(argv=None) -> int:
     argv = _merge_negative_vectors(sys.argv[1:] if argv is None else list(argv))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         job = _job_from_args(args)
     except SchemaError as exc:

@@ -8,15 +8,25 @@ triangular with respect to the restricted coroot order >=_M:
     tau_mu  =  sum of T_lam over antidominant lam >=_M mu,
 
 inverted by the Moebius function of the subposet of antidominant coweights
-under >=_M.  In the tau basis multiplication is the monoid rule
+under >=_M.  That function lives on the unit cube: mu(lam, nu) = 0 unless
+nu = lam + alpha_S^vee (the sum of the simple coroots in S) for a *set*
+S inside Delta_M, and then it is the Moebius function, from the empty set
+to S, of the family {T inside Delta_M : lam + alpha_T^vee antidominant}
+ordered by inclusion.  Proof: the antidominant coweights above lam are
+closed under the coefficientwise maximum of their coroot coordinates, so
+every interval [lam, nu] is a lattice whose join is that maximum; for any
+nu > lam, the set S where its coroot coordinates are largest gives an
+antidominant lam + alpha_S^vee <= nu, so the atoms are 0/1 vectors, and by
+Rota's crosscut theorem mu(lam, nu) vanishes unless nu is a union of atoms.
+So T_lam has at most 2^|Delta_M| tau-terms.
+
+In the tau basis multiplication is the monoid rule
 tau_a tau_b = tau_{a+b}.  Coefficients live in a configurable finite field
 F_{p^m}: the basis-change entries are integers mod p, but classification
 scalars need roots of unity, so one scalar type serves both.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .finite_field import FqElem, FqField
 from .root_datum import (
@@ -87,44 +97,53 @@ def identity_element(weight: WeightClass, field: FqField) -> HeckeElement:
     return basis_element(weight, "T", (0,) * weight.n, field)
 
 
-# an algebra_session pass fills about 3k entries, its whole job pool 4.2k
-@lru_cache(maxsize=1 << 14)
-def _moebius_int(mu, lam, comp) -> int:
-    """Moebius function of the poset of antidominant coweights under >=_M.
-
-    Not translation invariant (the antidominance cut depends on position),
-    so the memo key is the full pair.
-    """
-    M = StandardParabolic(comp)
-    if mu == lam:
-        return 1
-    total = 0
-    for xi in interval_above(mu, M):
-        if xi != lam and leq_M(xi, lam, M):
-            total += _moebius_int(mu, xi, comp)
-    return -total
+def _tau_row(lam, delta):
+    """The nonzero Moebius values mu(lam, nu) as sorted (nu, int) pairs:
+    nu = lam + alpha_S^vee over the sets S inside delta with nu
+    antidominant, the value computed over subsets as bitmasks."""
+    roots = sorted(delta)
+    values, row = {}, []
+    # increasing masks visit every subset of a set before the set itself
+    for mask in range(1 << len(roots)):
+        nu = list(lam)
+        for b, i in enumerate(roots):
+            if mask >> b & 1:
+                nu[i - 1] += 1
+                nu[i] -= 1
+        if not is_antidominant(nu):
+            continue
+        value, sub = (0 if mask else 1), mask
+        while sub:
+            sub = (sub - 1) & mask
+            value -= values.get(sub, 0)
+        values[mask] = value
+        if value:
+            row.append((tuple(nu), value))
+    return sorted(row)
 
 
 def moebius(mu, lam, M: StandardParabolic, field: FqField) -> Scalar:
     """Moebius value mu(mu, lam) for the restricted order, reduced into the
-    scalar field.  Requires mu <=_M lam."""
+    scalar field.  Requires antidominant mu <=_M lam."""
     mu, lam = tuple(mu), tuple(lam)
+    for v in (mu, lam):
+        if not is_antidominant(v):
+            raise ValueError(f"{v} is not antidominant")
     if not leq_M(mu, lam, M):
         raise ValueError(f"{mu} is not <=_M {lam}")
-    return field(_moebius_int(mu, lam, M.composition))
+    return field(dict(_tau_row(mu, M.delta)).get(lam, 0))
 
 
 def satake_T_to_tau(x: HeckeElement) -> HeckeElement:
-    """Expand in the tau basis: T_lam goes to the signed Moebius sum over the
-    interval above lam.  Unitriangular with leading coefficient 1 at lam."""
+    """Expand in the tau basis: T_lam goes to the sum of mu(lam, nu) tau_nu
+    over the unit cube nu = lam + alpha_S^vee, S inside Delta_M (at most
+    2^|Delta_M| terms).  Unitriangular with leading coefficient 1 at lam."""
     if x.basis != "T":
         raise ValueError("element is not in the T basis")
-    M = x.weight.levi
-    comp = M.composition
+    delta = x.weight.levi.delta
 
     def expand(lam):
-        return {mu: x.field(_moebius_int(lam, mu, comp))
-                for mu in interval_above(lam, M)}
+        return {nu: x.field(m) for nu, m in _tau_row(lam, delta)}
 
     return HeckeElement(x.weight, "tau", x.map_terms(expand), x.field)
 

@@ -176,7 +176,7 @@ def leq_M(mu, lam, M: StandardParabolic) -> bool:
     return ps + lam[-1] - mu[-1] == 0
 
 
-# an algebra_session pass fills about 1.0k entries, its whole job pool 1.3k
+# an algebra_session pass fills about 320 entries, its whole job pool 421
 @lru_cache(maxsize=1 << 13)
 def _interval_above(mu, comp):
     M = StandardParabolic(comp)
@@ -235,40 +235,3 @@ def parabolics_with_levi_trace(M: StandardParabolic, Q: StandardParabolic):
         for extra in combinations(free, k):
             out.append(StandardParabolic.from_delta(M.n, Q.delta | set(extra)))
     return tuple(sorted(out, key=lambda P: sorted(P.delta)))
-
-
-@dataclass(frozen=True)
-class WeylPerm:
-    """A Weyl group element of GL_n: a permutation acting on coordinates.
-
-    ``perm`` maps position i to perm[i] (0-based images).  Length is the
-    inversion count.
-    """
-
-    perm: tuple
-
-    @classmethod
-    def identity(cls, n: int) -> "WeylPerm":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> "WeylPerm":
-        """The simple reflection s_i swapping coordinates i, i+1 (1-based i)."""
-        p = list(range(n))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        return cls(tuple(p))
-
-    def act(self, v):
-        """Permute coordinates: (w v)[w(i)] = v[i]."""
-        out = [0] * len(v)
-        for i, wi in enumerate(self.perm):
-            out[wi] = v[i]
-        return tuple(out)
-
-    def compose(self, other: "WeylPerm") -> "WeylPerm":
-        """self after other."""
-        return WeylPerm(tuple(self.perm[j] for j in other.perm))
-
-    def length(self) -> int:
-        p = self.perm
-        return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])

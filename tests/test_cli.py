@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import io
 import json
 import time
 
+from gln_modp import cli
 from gln_modp.cli import export_lattice_dot, main, run
 from gln_modp.classify import InductionDatum, Steinberg, Supersingular, submodule_lattice
 from gln_modp.eigen import trivial_character
@@ -35,6 +37,32 @@ def test_satake_main_flags(capsys):
     assert main(["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["terms"] == {"-2,0": "1", "-1,-1": "2"}
+
+
+def _main_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser_with_fresh_parser_output(monkeypatch):
+    good = ["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0"]
+    calls = [good,
+             ["weights", "shift", "--q", "3", "--nu", "0,0"],
+             ["eigen", "supersingular", "--q", "3", "--pair", "[1]"],
+             good]
+    shared = [_main_bytes(argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0]
+    assert "invalid choice: 'shift'" in shared[1][2]
+    assert json.loads(shared[2][1])["error"]["kind"] == "schema"
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [_main_bytes(argv) for argv in calls] == shared
 
 
 def test_deterministic_output():

@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp.finite_field import FqField
 from gln_modp.hecke import (
@@ -9,7 +12,8 @@ from gln_modp.hecke import (
     satake_T_to_tau, satake_tau_to_T,
 )
 from gln_modp.root_datum import (
-    StandardParabolic, fundamental_antidominant_coweight, leq_M,
+    StandardParabolic, all_parabolics, fundamental_antidominant_coweight,
+    interval_above, leq_M,
 )
 from gln_modp.weights import make_weight
 
@@ -20,20 +24,24 @@ TRIV2 = make_weight((0, 0), 3)
 TRIV3 = make_weight((0, 0, 0), 3)
 
 
+def levi_weight(M, q):
+    """A weight whose stabilizer Levi is exactly M: constant on blocks,
+    dropping by one across each boundary."""
+    vals = range(len(M.composition) - 1, -1, -1)
+    V = make_weight(tuple(v for val, size in zip(vals, M.composition)
+                          for v in [val] * size), q)
+    assert V.levi == M
+    return V
+
+
 def random_stab_weight(rng, n, q=5):
-    """A weight whose stabilizer Levi is a random composition: constant on
-    blocks, dropping by one across each boundary."""
+    """A weight whose stabilizer Levi is a random composition."""
     comp, left = [], n
     while left:
         c = rng.randint(1, left)
         comp.append(c)
         left -= c
-    M = StandardParabolic(tuple(comp))
-    vals = list(range(len(comp) - 1, -1, -1))
-    nu = [v for val, size in zip(vals, comp) for v in [val] * size]
-    V = make_weight(tuple(nu), q)
-    assert V.levi == M
-    return V
+    return levi_weight(StandardParabolic(tuple(comp)), q)
 
 
 def random_element(rng, V, field, basis="T", radius=4, max_terms=4):
@@ -42,6 +50,50 @@ def random_element(rng, V, field, basis="T", radius=4, max_terms=4):
         lam = tuple(sorted(rng.randint(-radius, radius) for _ in range(V.n)))
         terms[lam] = field(rng.randint(1, field.size - 1))
     return HeckeElement(V, basis, terms, field)
+
+
+@lru_cache(maxsize=None)
+def reference_moebius(mu, lam, comp) -> int:
+    """Moebius function of the poset of antidominant coweights under >=_M,
+    by recursion over whole intervals: the brute-force reference for the
+    closed form on the unit cube.  Not translation invariant (the
+    antidominance cut depends on position), so the memo key is the pair."""
+    M = StandardParabolic(comp)
+    if mu == lam:
+        return 1
+    total = 0
+    for xi in interval_above(mu, M):
+        if xi != lam and leq_M(xi, lam, M):
+            total += reference_moebius(mu, xi, comp)
+    return -total
+
+
+# a large prime, so that distinct small integer values stay distinct in the
+# field
+F101 = FqField(101)
+
+
+def check_rows_against_reference(M, lams):
+    V = levi_weight(M, F101.p)
+    for lam in lams:
+        want = {}
+        for nu in interval_above(lam, M):
+            value = reference_moebius(lam, nu, M.composition)
+            assert moebius(lam, nu, M, F101) == F101(value)
+            if value:
+                want[nu] = F101(value)
+        assert satake_T_to_tau(basis_element(V, "T", lam, F101)).terms == want
+
+
+@pytest.mark.parametrize("n, box", [(2, 4), (3, 4), (4, 4), (5, 3)])
+def test_closed_form_matches_reference_moebius(n, box):
+    lams = list(combinations_with_replacement(range(-box, box + 1), n))
+    for M in all_parabolics(n):
+        check_rows_against_reference(M, lams)
+
+
+def test_closed_form_matches_reference_moebius_n6_row():
+    check_rows_against_reference(StandardParabolic.full(6), [(-2, -1, -1, 1, 1, 2)])
 
 
 def test_satake_T_to_tau_examples():
@@ -66,8 +118,15 @@ def test_moebius_examples():
     assert moebius((-1, 1), (-1, 1), G2, F3) == F3.one
     assert moebius((-1, 1), (0, 0), G2, F3) == F3(-1)
     assert moebius((-1, 0, 1), (0, 0, 0), G3, F3) == F3(-1)
+    # above (-2,0,2) both alpha_1 and alpha_2 keep antidominance, so the
+    # square of subsets gives +1 at its top; (0,0,0) has coroot coordinates
+    # (2,2), off the unit cube
+    assert moebius((-2, 0, 2), (-1, 0, 1), G3, F3) == F3.one
+    assert moebius((-2, 0, 2), (0, 0, 0), G3, F3) == F3.zero
     with pytest.raises(ValueError):
         moebius((0, 0), (-1, 1), G2, F3)
+    with pytest.raises(ValueError):
+        moebius((0, -1), (0, -1), G2, F3)
 
 
 def test_round_trip_random():
@@ -159,3 +218,47 @@ def test_change_of_weight_support():
     assert change_of_weight_support(make_weight((0, 0, 0), 3), 1) == ((-1, 0, 0), (0, -1, 0))
     with pytest.raises(ValueError):
         change_of_weight_support(make_weight((1, 0), 3), 1)
+
+
+FIELDS = ((FqField(3), 3), (FqField(3, 2), 9))
+
+
+@st.composite
+def hecke_elements(draw, basis, ns=(2, 3, 4, 5), radius=6, max_terms=3, setting=None):
+    """A random element in the Hecke algebra of a weight with a random
+    stabilizer Levi, over F_3 or F_9."""
+    if setting is None:
+        n = draw(st.sampled_from(ns))
+        field, q = draw(st.sampled_from(FIELDS))
+        M = StandardParabolic.from_delta(n, draw(st.sets(st.integers(1, n - 1))))
+        setting = levi_weight(M, q), field
+    V, field = setting
+    lam = st.lists(st.integers(-radius, radius), min_size=V.n, max_size=V.n)
+    coeff = st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m).filter(any)
+    terms = draw(st.dictionaries(lam.map(lambda v: tuple(sorted(v))), coeff.map(field),
+                                 min_size=1, max_size=max_terms))
+    return HeckeElement(V, basis, terms, field)
+
+
+@given(hecke_elements("T"), hecke_elements("tau"))
+def test_satake_round_trip_property(x, y):
+    assert satake_tau_to_T(satake_T_to_tau(x)) == x
+    assert satake_T_to_tau(satake_tau_to_T(y)) == y
+
+
+@given(st.data(), st.sampled_from(("T", "tau")))
+def test_multiply_commutative_associative_property(data, basis):
+    a = data.draw(hecke_elements(basis, ns=(2, 3, 4), radius=3, max_terms=2))
+    b, c = (data.draw(hecke_elements(basis, radius=3, max_terms=2,
+                                     setting=(a.weight, a.field))) for _ in range(2))
+    assert multiply(a, b) == multiply(b, a)
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@given(hecke_elements("T", max_terms=1), st.sampled_from(("T", "tau")))
+def test_unitriangularity_property(x, basis):
+    (lam,) = x.terms
+    e = basis_element(x.weight, basis, lam, x.field)
+    out = satake_T_to_tau(e) if basis == "T" else satake_tau_to_T(e)
+    assert out.terms[lam] == x.field.one
+    assert all(leq_M(lam, mu, x.weight.levi) for mu in out.terms)

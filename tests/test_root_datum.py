@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gln_modp.root_datum import (
-    StandardParabolic, WeylPerm, all_parabolics,
+    StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
     leq_M, pairing, parabolics_with_levi_trace, simple_coroot, stab_levi,
 )
@@ -141,11 +141,5 @@ def test_parabolics_with_levi_trace_count_and_trace():
                     assert P.delta & M.delta == Q.delta
 
 
-def test_weyl_perm():
-    s1 = WeylPerm.transposition(3, 1)
-    s2 = WeylPerm.transposition(3, 2)
-    assert s1.act((5, 7, 9)) == (7, 5, 9)
-    assert s1.length() == 1
-    w = s1.compose(s2)
-    assert w.length() == 2
+def test_simple_coroot():
     assert simple_coroot(3, 2) == (0, 1, -1)
