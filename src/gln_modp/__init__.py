@@ -9,7 +9,7 @@ from .finite_field import FqElem, FqField
 from .root_datum import (
     StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
-    is_dominant, leq_M, pairing, parabolics_with_levi_trace, stab_levi,
+    is_dominant, leq_M, pairing, stab_levi,
 )
 from .weights import (
     LeviWeightClass, WeightClass, central_character_exponents,
@@ -18,9 +18,8 @@ from .weights import (
     weight_partner_for_change,
 )
 from .hecke import (
-    HeckeElement, Scalar, basis_element, bimodule_support,
-    change_of_weight_support, double_support_claim, identity_element,
-    moebius, multiply, satake_T_to_tau, satake_tau_to_T,
+    HeckeElement, basis_element, double_support_claim, multiply,
+    satake_T_to_tau, satake_tau_to_T,
 )
 from .eigen import (
     ParamPair, SmoothCharacter, change_of_weight_applicable,
@@ -29,9 +28,8 @@ from .eigen import (
 )
 from .classify import (
     ConstituentPoset, InductionDatum, IrreducibleRep, Steinberg,
-    SubmoduleLattice, Supersingular, constituents, delta,
-    is_irreducible_principal_series, lower_sets, param_pair,
-    principal_series_tame_sufficient, submodule_lattice, validate,
+    SubmoduleLattice, Supersingular, constituents, delta, lower_sets,
+    param_pair, submodule_lattice, validate,
 )
 from .hecke0 import (
     DerivationCapExceeded, DerivationReport, ExtAffinePerm, Hecke0Algebra,

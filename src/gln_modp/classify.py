@@ -54,9 +54,6 @@ class Steinberg:
             raise ValueError("Q must be a standard parabolic of the block group")
 
 
-BlockRep = object  # Supersingular | Steinberg
-
-
 @dataclass(frozen=True)
 class InductionDatum:
     P: StandardParabolic
@@ -227,20 +224,6 @@ def param_pair(rep) -> ParamPair:
             comp.extend([1] * blk.size)
             chars.extend([blk.eta] * blk.size)
     return ParamPair(StandardParabolic(tuple(comp)), tuple(chars))
-
-
-def is_irreducible_principal_series(chars) -> bool:
-    """Exact criterion for a full principal series: consecutive characters
-    distinct (unramified and tame parts together)."""
-    chars = tuple(chars)
-    return all(a != b for a, b in zip(chars, chars[1:]))
-
-
-def principal_series_tame_sufficient(chars) -> bool:
-    """The coarser sufficient criterion using only residue characters: the
-    tame exponents differ at every adjacent position."""
-    chars = tuple(chars)
-    return all(a.tame_exponent != b.tame_exponent for a, b in zip(chars, chars[1:]))
 
 
 # a poset with more lower sets than this is refused while they are listed, so a

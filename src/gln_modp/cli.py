@@ -28,10 +28,10 @@ from . import eigen as eig
 from . import hecke as hk
 from . import hecke0 as h0
 from . import oracle as orc
-from .finite_field import FqField
+from .finite_field import FqField, prime_radical
 from .root_datum import StandardParabolic
 from .weights import (
-    make_levi_weight, make_weight, prime_radical,
+    make_levi_weight, make_weight,
     restrict_to_levi, regular_cover, weight_partner_for_change, is_M_regular,
 )
 

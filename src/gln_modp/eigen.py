@@ -49,6 +49,13 @@ class SmoothCharacter:
 
 
 def trivial_character(field, q: int) -> SmoothCharacter:
+    """The trivial character of F^x.
+
+    Acceptance criteria 4 and 5 induce it from the Borel to check the
+    classification on the trivial principal series of GL_n(F): it has 2^(n-1)
+    irreducible constituents, each once, and its submodule lattice has 3, 6
+    and 20 elements for n = 2, 3 and 4.
+    """
     return SmoothCharacter(field.one, 0, q)
 
 

