@@ -74,22 +74,17 @@ class InductionDatum:
         return self.P.n
 
 
-def validate(datum: InductionDatum) -> bool:
-    """Canonical-form constraints: supersingular blocks have size > 1 and
-    consecutive Steinberg blocks have distinct twists."""
-    for blk in datum.blocks:
-        if isinstance(blk, Supersingular) and blk.size == 1:
-            return False
-    for a, b in zip(datum.blocks, datum.blocks[1:]):
-        if isinstance(a, Steinberg) and isinstance(b, Steinberg) and a.eta == b.eta:
-            return False
-    return True
-
-
 def delta(datum: InductionDatum) -> int:
     """Number of adjacent Steinberg pairs with equal twist."""
     return sum(1 for a, b in zip(datum.blocks, datum.blocks[1:])
                if isinstance(a, Steinberg) and isinstance(b, Steinberg) and a.eta == b.eta)
+
+
+def validate(datum: InductionDatum) -> bool:
+    """Canonical-form constraints: supersingular blocks have size > 1 and
+    consecutive Steinberg blocks have distinct twists."""
+    return delta(datum) == 0 and not any(
+        isinstance(blk, Supersingular) and blk.size == 1 for blk in datum.blocks)
 
 
 @dataclass(frozen=True)

@@ -445,13 +445,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot open {path!r}: {exc.strerror}") from exc
+
+
 def _job_from_args(args) -> dict:
     if args.json_in:
-        with open(args.json_in, "r", encoding="utf-8") as fh:
+        with _open(args.json_in, "r") as fh:
             try:
                 return json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed JSON job: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{args.json_in!r} is not UTF-8 text: {exc.reason}") from exc
     params = {}
     for key, value in vars(args).items():
         if key in ("command", "json_in", "out", "field", "all") or value is None:
@@ -494,14 +503,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         job = _job_from_args(args)
+        out = _open(args.out, "w") if args.out else None
     except SchemaError as exc:
         print(json.dumps({"error": {"kind": "schema", "message": str(exc)}},
                          sort_keys=True, indent=2))
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            return run(job, fh)
-    return run(job, sys.stdout)
+    if out is None:
+        return run(job, sys.stdout)
+    with out:
+        return run(job, out)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,15 @@ def prime_radical(q: int) -> int:
     return p
 
 
+def accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c in a sparse dict, dropping the entry when it cancels."""
+    total = terms[key] + c if key in terms else c
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
 def _trim(poly):
     i = len(poly)
     while i > 0 and poly[i - 1] == 0:

@@ -28,7 +28,7 @@ scalars need roots of unity, so one scalar type serves both.
 
 from __future__ import annotations
 
-from .finite_field import FqField
+from .finite_field import FqField, accumulate
 from .root_datum import (
     StandardParabolic, add, fundamental_antidominant_coweight, interval_above,
     is_antidominant, leq_M, simple_coroot,
@@ -79,11 +79,7 @@ class HeckeElement:
         out = {}
         for lam, c in self.terms.items():
             for mu, d in fn(lam).items():
-                acc = out.get(mu, self.field.zero) + c * d
-                if acc:
-                    out[mu] = acc
-                else:
-                    out.pop(mu, None)
+                accumulate(out, mu, c * d)
         return out
 
 

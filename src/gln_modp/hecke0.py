@@ -32,10 +32,10 @@ both wrapped and unwrapped inversion families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 
-from .finite_field import FqElem, FqField
+from .finite_field import FqElem, FqField, accumulate
 
 
 @dataclass(frozen=True)
@@ -159,19 +159,6 @@ def group_mul(x: ExtAffinePerm, y: ExtAffinePerm):
     return ExtAffinePerm._trusted(win), wraps
 
 
-def inverse(x: ExtAffinePerm):
-    """Group inverse: returns (result, wraps) with x * result = Pi^{n*wraps'}
-    central factors tracked by the caller via group_mul."""
-    n = x.n
-    out = [0] * n
-    for i in range(1, n + 1):
-        j = x.window[i - 1]
-        r = (j - 1) % n
-        out[r] = i - (j - 1 - r)
-    win, wraps = _canonicalize(tuple(out))
-    return ExtAffinePerm._trusted(win), wraps
-
-
 def _apply_simple_left(k: int, x: ExtAffinePerm) -> ExtAffinePerm:
     """x * s_k in diagram order: s_k acts on window values."""
     n = x.n
@@ -264,15 +251,6 @@ def signed_product(x: ExtAffinePerm, y: ExtAffinePerm):
     return sign, wraps, ExtAffinePerm._trusted(win)
 
 
-def _accumulate(terms: dict, key, c) -> None:
-    """terms[key] += c in a sparse dict, dropping the entry when it cancels."""
-    total = terms[key] + c if key in terms else c
-    if total:
-        terms[key] = total
-    else:
-        terms.pop(key, None)
-
-
 class Hecke0Element:
     """A finite formal sum of basis elements T_w with scalar coefficients."""
 
@@ -294,7 +272,7 @@ class Hecke0Element:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _accumulate(out, w, c)
+            accumulate(out, w, c)
         return Hecke0Element(self.algebra, out)
 
     def __neg__(self):
@@ -347,17 +325,12 @@ class Hecke0Algebra:
         """sign * zeta^wraps, the scalar of a signed basis product."""
         return self.field(sign) * self.zeta ** wraps
 
-    def demazure_product(self, x: ExtAffinePerm, y: ExtAffinePerm):
-        """Signed basis product as (scalar, result)."""
-        sign, wraps, z = signed_product(x, y)
-        return self._scalar(sign, wraps), z
-
     def multiply(self, a: Hecke0Element, b: Hecke0Element) -> Hecke0Element:
         out = {}
         for x, cx in a.terms.items():
             for y, cy in b.terms.items():
-                scalar, z = self.demazure_product(x, y)
-                _accumulate(out, z, cx * cy * scalar)
+                sign, wraps, z = signed_product(x, y)
+                accumulate(out, z, cx * cy * self._scalar(sign, wraps))
         return Hecke0Element(self, out)
 
     def word_product(self, letters, rot: int = 0) -> Hecke0Element:
@@ -464,42 +437,25 @@ class DerivationStep:
     operator: str
     idempotency_round: int
     vanishing_round: int
-    trace_lines: tuple
+    trace: tuple
     axiom: str
     derived: tuple
-
-    def to_json(self):
-        return {
-            "index": self.index,
-            "operator": self.operator,
-            "idempotency_round": self.idempotency_round,
-            "vanishing_round": self.vanishing_round,
-            "trace": list(self.trace_lines),
-            "axiom": self.axiom,
-            "derived": list(self.derived),
-        }
 
 
 @dataclass
 class DerivationReport:
+    """The fields are the keys of the JSON report."""
+
     n: int
     cap: int
     status: str = "running"
     steps: list = dc_field(default_factory=list)
     final_round: int = -1
-    cap_used: int = 0
+    minimal_sufficient_cap: int = 0
     conclusion: str = ""
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "cap": self.cap,
-            "status": self.status,
-            "steps": [s.to_json() for s in self.steps],
-            "final_round": self.final_round,
-            "minimal_sufficient_cap": self.cap_used,
-            "conclusion": self.conclusion,
-        }
+        return asdict(self)
 
 
 def has_finite_descent(x: ExtAffinePerm) -> bool:
@@ -545,7 +501,7 @@ class _ModuleEngine:
         for sym, c in vec.items():
             sign, wraps, z = signed_product(g, sym)
             if not has_finite_descent(z):
-                _accumulate(out, z, c * self.H._scalar(sign, wraps))
+                accumulate(out, z, c * self.H._scalar(sign, wraps))
         return out
 
     def reduce(self, vec):
@@ -564,7 +520,7 @@ class _ModuleEngine:
                 used = max(used, d)
                 for sym, rc in row.items():
                     if sym != key:
-                        _accumulate(work, sym, -(c * rc))
+                        accumulate(work, sym, -(c * rc))
             else:
                 out[key] = c
         return out, used
@@ -653,7 +609,7 @@ def derive_rotation_invariance(n: int, length_cap: int,
         gv = engine.apply(g, v)
         out = engine.apply(g, gv)
         for sym, c in gv.items():
-            _accumulate(out, sym, -c)
+            accumulate(out, sym, -c)
         return out
 
     def op_name(j: int) -> str:
@@ -662,8 +618,8 @@ def derive_rotation_invariance(n: int, length_cap: int,
     # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0
     rel = {}
     for j in range(1, n + 1):
-        _accumulate(rel, z_ops[j], one)
-    _accumulate(rel, identity(n), -one)
+        accumulate(rel, z_ops[j], one)
+    accumulate(rel, identity(n), -one)
     engine.add_relation(rel)
 
     cap_used = 0
@@ -685,14 +641,12 @@ def derive_rotation_invariance(n: int, length_cap: int,
             name = op_name(i)
             tail = " - ".join(f"{op_name(j)}v" for j in range(i + 1, n + 1))
             line1 = f"({name})²v = {name}(v - {tail})"
-            cross = []
+            cross, all_die = [], True
             for j in range(i + 1, n + 1):
-                sign, wraps, prod = signed_product(z, z_ops[j])
-                tok = render_word(prod)
-                cross.append(("-" if sign > 0 else "+") + f" {tok}v")
+                sign, _, prod = signed_product(z, z_ops[j])
+                cross.append(("-" if sign > 0 else "+") + f" {render_word(prod)}v")
+                all_die = all_die and has_finite_descent(prod)
             line2 = f"= {name}v " + " ".join(cross)
-            all_die = all(has_finite_descent(signed_product(z, z_ops[j])[2])
-                          for j in range(i + 1, n + 1))
             line3 = f"= {name}v" if all_die else f"= {name}v (mod earlier relations)"
             rounds = max(r1, r1u, r2)
             cap_used = max(cap_used, rounds)
@@ -701,18 +655,18 @@ def derive_rotation_invariance(n: int, length_cap: int,
                 operator=name,
                 idempotency_round=max(r1, r1u),
                 vanishing_round=r2,
-                trace_lines=(line1, line2, line3),
+                trace=(line1, line2, line3),
                 axiom=f"U_{i} acts nilpotently (hypothesis), so idempotency forces U_{i}v = 0",
                 derived=(f"U_{i}v = 0", f"{name}v = 0"),
             ))
 
         final = {identity(n): one}
         for sym, c in engine.apply(rotation(n), v).items():
-            _accumulate(final, sym, -c)
+            accumulate(final, sym, -c)
         rf = engine.ensure_zero(final)
         cap_used = max(cap_used, rf)
         report.final_round = rf
-        report.cap_used = cap_used
+        report.minimal_sufficient_cap = cap_used
         report.status = "derived"
         report.conclusion = "v = Πv"
         return report
@@ -720,5 +674,5 @@ def derive_rotation_invariance(n: int, length_cap: int,
         report.status = "inconclusive"
         report.conclusion = (
             "cap exhausted before reduction; no conclusion (not a refutation)")
-        report.cap_used = cap_used
+        report.minimal_sufficient_cap = cap_used
         raise DerivationCapExceeded(report) from None

@@ -38,6 +38,18 @@ def _require_prime(q: int):
         raise ValueError(f"oracle requires a prime residue field size, got q={q}")
 
 
+def _too_large(n: int, q: int) -> bool:
+    """The size guard: enumerating GL_n(F_q) scans all q^(n^2) matrices, and
+    |GL_n(F_q)| < q^(n^2), so this bound alone decides."""
+    return q ** (n * n) > SIZE_GUARD
+
+
+def _require_enumerable(n: int, q: int):
+    _require_prime(q)
+    if _too_large(n, q):
+        raise ValueError(f"GL_{n}(F_{q}) exceeds the enumeration guard")
+
+
 def group_order_formula(n: int, q: int) -> int:
     out = 1
     for k in range(n):
@@ -46,12 +58,6 @@ def group_order_formula(n: int, q: int) -> int:
 
 
 # -- dense linear algebra over F_q (q prime), matrices as row tuples --------
-
-def mat_mul(A, B, q):
-    n, m, r = len(A), len(B[0]), len(B)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(r)) % q
-                       for j in range(m)) for i in range(n))
-
 
 def mat_det(A, q):
     n = len(A)
@@ -127,9 +133,7 @@ def _reduce_mod(R, pivots, v, q):
 @lru_cache(maxsize=_CACHED_GROUPS)
 def gl_elements(n: int, q: int):
     """All of GL_n(F_q), with a hard size guard."""
-    _require_prime(q)
-    if q ** (n * n) > SIZE_GUARD or group_order_formula(n, q) > SIZE_GUARD:
-        raise ValueError(f"GL_{n}(F_{q}) exceeds the enumeration guard")
+    _require_enumerable(n, q)
     out = []
     for entries in product(range(q), repeat=n * n):
         A = tuple(entries[i * n:(i + 1) * n] for i in range(n))
@@ -150,29 +154,6 @@ def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
     for m in parts:
         denom *= fact(m)
     return fact(n) // denom
-
-
-def _flag_key(g, P: StandardParabolic, q: int):
-    """Canonical form of the flag of column spans at the block boundaries."""
-    n = P.n
-    cols = [tuple(g[r][c] for r in range(n)) for c in range(n)]
-    key = []
-    for b in P.boundaries:
-        key.append(rref(cols[:b], q)[0])
-    return tuple(key)
-
-
-def flag_cosets(n: int, q: int, P: StandardParabolic):
-    """One representative per coset of the P-flag variety; the count matches
-    the q-multinomial."""
-    reps, seen = [], set()
-    for g in gl_elements(n, q):
-        key = _flag_key(g, P, q)
-        if key not in seen:
-            seen.add(key)
-            reps.append(g)
-    assert len(reps) == gaussian_factorial_ratio(n, P.composition, q)
-    return reps
 
 
 @lru_cache(maxsize=4 * _CACHED_GROUPS)
@@ -218,9 +199,7 @@ def iwasawa_orbit_counts(n: int, q: int, i: int):
     """Orbit sizes of the full upper unipotent group on the i-dimensional
     subspaces, keyed by the coweight -1_S of the unique coordinate subspace
     in each orbit.  Totals match the flag count; each size is a power of q."""
-    _require_prime(q)
-    if q ** (n * n) > SIZE_GUARD:
-        raise ValueError("size guard exceeded")
+    _require_enumerable(n, q)
     if not 1 <= i <= n - 1:
         raise ValueError("index out of range")
     gens = _upper_unipotent_gens(n, q)
@@ -498,14 +477,6 @@ def in_big_cell(kappa, Q: StandardParabolic, P: StandardParabolic, q: int) -> bo
                for a in Q.boundaries for b in P.boundaries)
 
 
-def parabolic_elements(n: int, q: int, P: StandardParabolic, opposite=False):
-    """Elements of the block-upper standard parabolic (block-lower when
-    ``opposite``): the entries crossing the blocks on the wrong side vanish."""
-    forbidden = _block_positions(P, upper=opposite)
-    return [g for g in gl_elements(n, q)
-            if all(g[a][b] == 0 for a, b in forbidden)]
-
-
 @lru_cache(maxsize=128)
 def _off_big_cell(n: int, q: int, Q: StandardParabolic, P: StandardParabolic):
     """The kappa in GL_n(F_q) outside the big cell (opposite of Q) * P, in
@@ -529,11 +500,15 @@ def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
     the verdict of the scan over all of GL_n(F_q) unchanged.
     """
     V = make_weight(tuple(nu), q)
-    stab = stab_levi(V.nu)
-    reg_P, reg_Q = is_M_regular(V, P), is_M_regular(V, Q)
-    if not ((reg_P and reg_Q) or stab == P or stab == Q):
+    if not _support_hypothesis(V, P, Q):
         raise ValueError("regularity hypothesis violated for this (nu, P, Q)")
     return next(_support_failures(n, q, V.nu, P, Q), None) is None
+
+
+def _support_hypothesis(V, P: StandardParabolic, Q: StandardParabolic) -> bool:
+    """V is regular for the Levis of both P and Q, or its stabilizer Levi is
+    one of them."""
+    return (is_M_regular(V, P) and is_M_regular(V, Q)) or stab_levi(V.nu) in (P, Q)
 
 
 def _support_failures(n: int, q: int, nu, P: StandardParabolic,
@@ -614,28 +589,6 @@ def check_iwahori_coset_count(n: int, q: int, i: int) -> bool:
     return total == gaussian_factorial_ratio(n, (1, n - 1), q)
 
 
-# -- Bruhat decomposition ------------------------------------------------------
-
-def bruhat_cell_sizes(n: int, q: int):
-    """Sizes of the double cosets of the Borel, keyed by the permutation read
-    off the rank profile of each group element."""
-    _require_prime(q)
-    sizes = {}
-    for g in gl_elements(n, q):
-        R = [[0] * (n + 1) for _ in range(n + 2)]
-        for i in range(n, 0, -1):
-            for j in range(1, n + 1):
-                R[i][j] = mat_rank([g[r][:j] for r in range(i - 1, n)], q)
-        w = [0] * n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if R[i][j] - R[i + 1][j] - R[i][j - 1] + R[i + 1][j - 1] == 1:
-                    w[i - 1] = j - 1
-        key = tuple(w)
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes
-
-
 # -- umbrella ------------------------------------------------------------------
 
 def verify_gates(max_n: int, max_q: int):
@@ -646,7 +599,7 @@ def verify_gates(max_n: int, max_q: int):
     primes = [p for p in range(2, max_q + 1) if is_prime(p)]
     for n in range(2, max_n + 1):
         for q in primes:
-            if q ** (n * n) > SIZE_GUARD:
+            if _too_large(n, q):
                 continue
             assert len(gl_elements(n, q)) == group_order_formula(n, q)
             report["order"].append({"n": n, "q": q, "ok": True})
@@ -666,10 +619,9 @@ def verify_gates(max_n: int, max_q: int):
                         {"n": n, "q": q, "nu": list(nu), "P": list(P.composition), "ok": ok})
                     report["ok"] &= ok
                 V = make_weight(nu, q)
-                stab = stab_levi(V.nu)
                 for P in all_parabolics(n):
                     for Q in all_parabolics(n):
-                        if (is_M_regular(V, P) and is_M_regular(V, Q)) or stab in (P, Q):
+                        if _support_hypothesis(V, P, Q):
                             ok = check_double_coset_support(n, q, nu, P, Q)
                             report["double_coset"].append(
                                 {"n": n, "q": q, "nu": list(nu),

@@ -203,7 +203,7 @@ def test_criterion_6_hecke0_identities():
         rep = derive_rotation_invariance(n, max(n * n, 20))
         ok &= rep.status == "derived" and rep.conclusion == "v = Πv"
         traces[n] = rep
-    ok &= traces[2].steps[0].trace_lines == (
+    ok &= traces[2].steps[0].trace == (
         "(S_1Π)²v = S_1Π(v - Πv)",
         "= S_1Πv - S_1v",
         "= S_1Πv",

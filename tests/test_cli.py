@@ -254,3 +254,53 @@ def test_malformed_n_list_or_null():
     for n in ([3], None):
         assert_schema_error(*run_job({"command": "hecke0",
                                       "params": {"action": "verify", "n": n}}))
+
+
+SATAKE_ARGV = ["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0"]
+
+
+def assert_schema_error_naming(code, out, path):
+    assert_schema_error(code, out)
+    assert repr(str(path)) in json.loads(out)["error"]["message"]
+
+
+def test_json_in_and_out_match_flags_and_stdout(tmp_path, capsys):
+    assert main(SATAKE_ARGV) == 0
+    expected = capsys.readouterr().out
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "satake", "params": {
+        "n": 2, "q": 3, "nu": "0,0", "lam": "-2,0"}}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(SATAKE_ARGV + ["--json-in", str(job), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_json_in_missing_file(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code = main(SATAKE_ARGV + ["--json-in", str(path)])
+    assert_schema_error_naming(code, capsys.readouterr().out, path)
+
+
+def test_json_in_directory(tmp_path, capsys):
+    code = main(SATAKE_ARGV + ["--json-in", str(tmp_path)])
+    assert_schema_error_naming(code, capsys.readouterr().out, tmp_path)
+
+
+def test_json_in_not_utf8(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b'\xff{"command": "satake"}')
+    code = main(SATAKE_ARGV + ["--json-in", str(path)])
+    assert_schema_error_naming(code, capsys.readouterr().out, path)
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code = main(SATAKE_ARGV + ["--out", str(path)])
+    assert_schema_error_naming(code, capsys.readouterr().out, path)
+    assert not path.parent.exists()
+
+
+def test_out_onto_directory(tmp_path, capsys):
+    code = main(SATAKE_ARGV + ["--out", str(tmp_path)])
+    assert_schema_error_naming(code, capsys.readouterr().out, tmp_path)

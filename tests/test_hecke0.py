@@ -11,7 +11,7 @@ from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
     DerivationCapExceeded, ExtAffinePerm, Hecke0Algebra,
     derive_rotation_invariance, group_mul, has_finite_descent, identity,
-    inverse, reduced_word, rotation, signed_product, simple, translation,
+    reduced_word, rotation, signed_product, simple, translation,
     verify_braid_and_rotation, verify_translation_power,
     verify_word_shift_identity,
 )
@@ -112,7 +112,7 @@ def test_rotation_conjugates_generators():
             assert H.Pi() * H.basis(simple(n, k)) == H.basis(simple(n, (k - 1) % n)) * H.Pi()
 
 
-def test_reduced_word_and_inverse():
+def test_reduced_word_spells_the_element():
     rng = random.Random(5)
     for n in (2, 3, 4):
         H = Hecke0Algebra(n, F3)
@@ -121,9 +121,6 @@ def test_reduced_word_and_inverse():
             letters, rot = reduced_word(x)
             assert len(letters) == x.length()
             assert H.word_product(letters, rot) == H.basis(x)
-            xi, _ = inverse(x)
-            prod, _ = group_mul(x, xi)
-            assert prod == identity(n)
 
 
 def test_translation_power_example():
@@ -146,12 +143,12 @@ def test_derivation_success():
         assert rep.status == "derived"
         assert rep.conclusion == "v = Πv"
         assert len(rep.steps) == n - 1
-        assert rep.cap_used <= rep.cap
+        assert rep.minimal_sufficient_cap <= rep.cap
 
 
 def test_derivation_trace_n2():
     rep = derive_rotation_invariance(2, 4)
-    assert rep.steps[0].trace_lines == (
+    assert rep.steps[0].trace == (
         "(S_1Π)²v = S_1Π(v - Πv)",
         "= S_1Πv - S_1v",
         "= S_1Πv",

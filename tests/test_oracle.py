@@ -1,20 +1,32 @@
-import math
-
 import pytest
 
 from gln_modp.oracle import (
     _block_positions, _off_big_cell, _reduce_mod, _support_failures,
-    _upper_unipotent_gens, bruhat_cell_sizes, check_double_coset_support,
+    _upper_unipotent_gens, check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, exterior_power_module,
-    flag_cosets, gaussian_factorial_ratio, gl_elements, group_order_formula,
-    in_big_cell, invariant_space, iwasawa_orbit_counts, mat_mul,
-    parabolic_elements, subspaces, supported_weight_modules, sym_power_module,
+    gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
+    invariant_space, iwasawa_orbit_counts, subspaces,
+    supported_weight_modules, sym_power_module,
 )
 from gln_modp.root_datum import StandardParabolic, all_parabolics
 
 B2 = StandardParabolic.torus(2)
 B3 = StandardParabolic.torus(3)
+
+
+def mat_mul(A, B, q):
+    n, m, r = len(A), len(B[0]), len(B)
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(r)) % q
+                       for j in range(m)) for i in range(n))
+
+
+def parabolic_elements(n, q, P, opposite=False):
+    """Elements of the block-upper standard parabolic (block-lower when
+    ``opposite``): the entries crossing the blocks on the wrong side vanish."""
+    forbidden = _block_positions(P, upper=opposite)
+    return [g for g in gl_elements(n, q)
+            if all(g[a][b] == 0 for a, b in forbidden)]
 
 
 def test_group_enumeration_matches_formula():
@@ -29,14 +41,15 @@ def test_size_and_primality_guards():
         gl_elements(2, 4)
     with pytest.raises(ValueError):
         iwasawa_orbit_counts(2, 4, 1)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        iwasawa_orbit_counts(4, 3, 1)
 
 
 def test_flag_coset_counts():
-    assert len(flag_cosets(2, 2, B2)) == 3
-    assert len(flag_cosets(2, 3, B2)) == 4
-    assert len(flag_cosets(3, 2, StandardParabolic((2, 1)))) == 7
-    assert gaussian_factorial_ratio(3, (1, 1, 1), 2) == 21
-    assert len(flag_cosets(3, 2, B3)) == 21
+    assert gaussian_factorial_ratio(2, B2.composition, 2) == 3
+    assert gaussian_factorial_ratio(2, B2.composition, 3) == 4
+    assert gaussian_factorial_ratio(3, (2, 1), 2) == 7
+    assert gaussian_factorial_ratio(3, B3.composition, 2) == 21
 
 
 def test_subspace_counts():
@@ -183,13 +196,3 @@ def test_iwahori_coset_counts():
     assert check_iwahori_coset_count(3, 2, 3)   # empty parameter row
     assert check_iwahori_coset_count(4, 2, 2)
     assert check_iwahori_coset_count(3, 3, 2)
-
-
-def test_bruhat_cells():
-    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        sizes = bruhat_cell_sizes(n, q)
-        assert len(sizes) == math.factorial(n)
-        borel = q ** (n * (n - 1) // 2) * (q - 1) ** n
-        for w, size in sizes.items():
-            ell = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-            assert size == q ** ell * borel

@@ -1,6 +1,7 @@
-"""The public surface of gln_modp carries no test-only names: every name in
-``gln_modp.__all__`` that is not a module is used by another module of the
-program, or is imported by the acceptance suite."""
+"""The program carries no test-only code: every module-level function and
+class is used by the program, and every name in ``gln_modp.__all__`` that is
+not a module is used by another module of the program, or is imported by the
+acceptance suite."""
 
 import ast
 import pathlib
@@ -44,3 +45,40 @@ def test_every_public_name_is_used_by_the_program_or_an_acceptance_criterion():
               if not isinstance(getattr(gln_modp, name), types.ModuleType)]
     allowed = used_by_program() | imported_by_acceptance()
     assert [name for name in public if name not in allowed] == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unused_module_level_definitions():
+    """``module.name`` for every module-level def or class that no program
+    code uses.  A use is a bare name in its own module outside its own
+    definition, a ``from .module import name`` in any module, or
+    ``alias.name`` where ``from . import module as alias`` binds ``alias``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for module, tree in trees.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        used.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add((aliases[node.value.id], node.attr))
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            used.update((module, node.id) for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and node.id != own)
+    return [f"{module}.{stmt.name}" for module, tree in trees.items()
+            for stmt in tree.body
+            if isinstance(stmt, DEFINITIONS) and (module, stmt.name) not in used]
+
+
+def test_every_module_level_definition_is_used_by_the_program():
+    assert unused_module_level_definitions() == []
