@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(hecke0)
 
     verify = sp.add_parser("verify", help="run the finite-group oracle gates")
-    verify.add_argument("--all", action="store_true")
     verify.add_argument("--max-n", type=int, default=3)
     verify.add_argument("--max-q", type=int, default=3)
     _add_common(verify)
@@ -453,27 +452,31 @@ def _open(path: str, mode: str):
 
 
 def _job_from_args(args) -> dict:
+    """The job of a command line: the --json-in file, or the flags.  --field
+    fills in the scalar field of a job that names none; a job that is not an
+    object is left for ``run`` to reject."""
     if args.json_in:
         with _open(args.json_in, "r") as fh:
             try:
-                return json.load(fh)
+                job = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed JSON job: {exc}") from exc
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"{args.json_in!r} is not UTF-8 text: {exc.reason}") from exc
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("command", "json_in", "out", "field", "all") or value is None:
-            continue
-        params[key] = value
-    for key in ("pair", "datum", "eta"):
-        if key in params and isinstance(params[key], str):
-            try:
-                params[key] = json.loads(params[key])
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"malformed JSON for --{key}: {exc}") from exc
-    job = {"command": args.command, "params": params}
-    if args.field:
+    else:
+        params = {}
+        for key, value in vars(args).items():
+            if key in ("command", "json_in", "out", "field") or value is None:
+                continue
+            params[key] = value
+        for key in ("pair", "datum", "eta"):
+            if key in params and isinstance(params[key], str):
+                try:
+                    params[key] = json.loads(params[key])
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"malformed JSON for --{key}: {exc}") from exc
+        job = {"command": args.command, "params": params}
+    if args.field and isinstance(job, dict) and not job.get("scalar_field"):
         job["scalar_field"] = parse_field_text(args.field)
     return job
 

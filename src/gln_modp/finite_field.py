@@ -122,12 +122,13 @@ class FqField:
         if m < 1:
             raise ValueError("m must be >= 1")
         if modulus is None:
-            modulus = default_modulus(p, m)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = default_modulus(p, m)  # monic and irreducible by construction
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if not poly_is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.modulus = modulus

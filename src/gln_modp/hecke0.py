@@ -7,7 +7,10 @@ extended by f(i+n) = f(i) + n.  The rotation generator Pi has window
 The group is taken modulo the central element Pi^n, whose image in the
 algebra is a configurable scalar zeta (default 1, the value forced on a
 vector with trivial central character); multiplications count how often
-they wrap through Pi^n so the scalar can be applied.
+they wrap through Pi^n so the scalar can be applied.  An element is its
+window itself, the representative whose rotation degree sum(f(i) - i)/n
+lies in [0, n-1]; windows from outside the library are checked where they
+enter, at ``Hecke0Algebra.element`` and ``Hecke0Algebra.basis``.
 
 The group product is composition in diagram order: (x*y) applies x first.
 With this convention the defining relations hold literally:
@@ -38,63 +41,25 @@ from functools import lru_cache
 from .finite_field import FqElem, FqField, accumulate
 
 
-@dataclass(frozen=True)
-class ExtAffinePerm:
-    """An element of the extended affine symmetric group mod its center,
-    canonicalized so the rotation degree sum(f(i)-i)/n lies in [0, n-1]."""
+def _rotation(window) -> int:
+    """Rotation degree sum(f(i) - i) / n: the power of Pi in the
+    decomposition by the sum-zero affine subgroup."""
+    n = len(window)
+    return (sum(window) - n * (n + 1) // 2) // n
 
-    window: tuple
 
-    def __post_init__(self):
-        w = tuple(self.window)
-        n = len(w)
-        if n < 1 or len({v % n for v in w}) != n:
-            raise ValueError(f"{w} is not a valid window (residues must be distinct)")
-        degree = sum(w[i] - (i + 1) for i in range(n))
-        if degree % n:
-            raise ValueError(f"{w} has non-integral rotation degree")
-        if not 0 <= degree // n <= n - 1:
-            raise ValueError(
-                f"{w} is not canonical (rotation degree outside [0, n-1]); "
-                "shift the window by a multiple of n")
-        object.__setattr__(self, "window", w)
-
-    @classmethod
-    def _trusted(cls, window: tuple) -> "ExtAffinePerm":
-        """Wrap a window already known to be a valid canonical tuple (a
-        canonicalized product or a translate of one), skipping validation."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "window", window)
-        return x
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    @property
-    def rotation(self) -> int:
-        """Rotation degree: the power of Pi in the decomposition by the
-        sum-zero affine subgroup."""
-        n = self.n
-        return sum(self.window[i] - (i + 1) for i in range(n)) // n
-
-    @property
-    def translation_free_window(self) -> tuple:
-        """Window of the sum-zero part (the element divided by Pi^rotation)."""
-        s = self.rotation
-        return tuple(v - s for v in self.window)
-
-    def value(self, i: int) -> int:
-        """f(i) for any integer i, via n-periodicity."""
-        n = self.n
-        r = (i - 1) % n
-        return self.window[r] + (i - 1 - r)
-
-    def length(self) -> int:
-        return _length(self.window)
-
-    def __repr__(self):
-        return f"W{self.window}"
+def _check_window(w, n: int) -> None:
+    """Reject a window from outside the library that is not a canonical
+    element of rank n.  Distinct residues make sum(w) = sum(1..n) mod n, so
+    the rotation degree is always an integer."""
+    if len(w) != n:
+        raise ValueError(f"{w} has rank {len(w)}, expected {n}")
+    if len({v % n for v in w}) != n:
+        raise ValueError(f"{w} is not a valid window (residues must be distinct)")
+    if not 0 <= _rotation(w) <= n - 1:
+        raise ValueError(
+            f"{w} is not canonical (rotation degree outside [0, n-1]); "
+            "shift the window by a multiple of n")
 
 
 # derive n = 5 leaves about 12k windows here at cap 25 and 20k at cap 60
@@ -115,55 +80,51 @@ def _canonicalize(window):
     """Normalize the rotation degree into [0, n-1]; return (window, wraps)
     where wraps counts the removed central factors Pi^n."""
     n = len(window)
-    s = sum(window[i] - (i + 1) for i in range(n)) // n
-    wraps = s // n  # floor division: canonical rotation degree lands in [0, n-1]
+    wraps = _rotation(window) // n  # floor division: canonical degree lands in [0, n-1]
     return tuple(v - n * wraps for v in window), wraps
 
 
-def identity(n: int) -> ExtAffinePerm:
-    return ExtAffinePerm(tuple(range(1, n + 1)))
+def identity(n: int) -> tuple:
+    return tuple(range(1, n + 1))
 
 
-def simple(n: int, k: int) -> ExtAffinePerm:
+def simple(n: int, k: int) -> tuple:
     """The affine simple reflection s_k, 0 <= k <= n-1 (k = 0 is the affine
     one); swaps the value classes k and k+1 mod n."""
     if n < 2 or not 0 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range for n={n}")
     if k == 0:
-        return ExtAffinePerm(tuple([0] + list(range(2, n)) + [n + 1]))
+        return tuple([0] + list(range(2, n)) + [n + 1])
     w = list(range(1, n + 1))
     w[k - 1], w[k] = w[k], w[k - 1]
-    return ExtAffinePerm(tuple(w))
+    return tuple(w)
 
 
-def rotation(n: int, k: int = 1) -> ExtAffinePerm:
+def rotation(n: int, k: int = 1) -> tuple:
     """Pi^k: the window (1+k, 2+k, ..., n+k), canonicalized."""
-    win, _ = _canonicalize(tuple(i + k for i in range(1, n + 1)))
-    return ExtAffinePerm(win)
+    return _canonicalize(tuple(i + k for i in range(1, n + 1)))[0]
 
 
-def translation(lam) -> ExtAffinePerm:
+def translation(lam) -> tuple:
     """The translation element of a coweight: f(i) = i + n*lam_i (canonical
     representative mod the center)."""
     n = len(lam)
-    win, _ = _canonicalize(tuple(i + 1 + n * lam[i] for i in range(n)))
-    return ExtAffinePerm(win)
+    return _canonicalize(tuple(i + 1 + n * lam[i] for i in range(n)))[0]
 
 
-def group_mul(x: ExtAffinePerm, y: ExtAffinePerm):
-    """Product in diagram order (x first): returns (result, wraps)."""
-    if x.n != y.n:
-        raise ValueError("rank mismatch")
-    raw = tuple(y.value(x.value(i)) for i in range(1, x.n + 1))
-    win, wraps = _canonicalize(raw)
-    return ExtAffinePerm._trusted(win), wraps
+def _operator_window(n: int, j: int) -> tuple:
+    """S_j S_{j+1} ... S_{n-1} Pi (Pi itself when j = n): the window
+    (2, ..., j, n+1, j+1, ..., n) of Pi with the value n+1 moved to slot j."""
+    w = list(range(2, n + 1))
+    w.insert(j - 1, n + 1)
+    return tuple(w)
 
 
-def _apply_simple_left(k: int, x: ExtAffinePerm) -> ExtAffinePerm:
+def _apply_simple_left(k: int, x: tuple) -> tuple:
     """x * s_k in diagram order: s_k acts on window values."""
-    n = x.n
+    n = len(x)
     out = []
-    for v in x.window:
+    for v in x:
         r = v % n
         if r == k % n:
             out.append(v + 1)
@@ -171,7 +132,7 @@ def _apply_simple_left(k: int, x: ExtAffinePerm) -> ExtAffinePerm:
             out.append(v - 1)
         else:
             out.append(v)
-    return ExtAffinePerm._trusted(tuple(out))
+    return tuple(out)
 
 
 def _value_positions(window) -> list:
@@ -190,16 +151,16 @@ def _value_positions(window) -> list:
     return pos
 
 
-def reduced_word(x: ExtAffinePerm):
+def reduced_word(x: tuple):
     """A reduced word for the sum-zero part: returns (letters, rot) with
     x = s_{letters[0]} * ... * s_{letters[-1]} * Pi^rot in diagram order.
     Deterministic: always peels the smallest descent."""
-    rot = x.rotation
-    u = ExtAffinePerm._trusted(x.translation_free_window)
+    rot = _rotation(x)
+    u = tuple(v - rot for v in x)
     letters = []
-    for _ in range(u.length()):
-        pos = _value_positions(u.window)
-        k = min(k for k in range(u.n) if pos[k + 1] < pos[k])
+    for _ in range(_length(u)):
+        pos = _value_positions(u)
+        k = min(k for k in range(len(u)) if pos[k + 1] < pos[k])
         letters.append(k)
         u = _apply_simple_left(k, u)
     return list(reversed(letters)), rot
@@ -211,11 +172,11 @@ def reduced_word(x: ExtAffinePerm):
 def _left_word(window):
     """Reduced word of the element with this window as (letters last-first,
     rot), for walking it from the right."""
-    letters, rot = reduced_word(ExtAffinePerm._trusted(window))
+    letters, rot = reduced_word(window)
     return tuple(reversed(letters)), rot
 
 
-def signed_product(x: ExtAffinePerm, y: ExtAffinePerm):
+def signed_product(x: tuple, y: tuple):
     """The 0-Hecke (Demazure) product T_x T_y = sign * zeta^wraps * T_z.
 
     Walks a reduced word of the left factor x = s_a1 ... s_am Pi^rot, which
@@ -233,12 +194,11 @@ def signed_product(x: ExtAffinePerm, y: ExtAffinePerm):
     is deg x + deg y, so wraps = floor((deg x + deg y) / n).  Returns
     (sign, wraps, z).
     """
-    if x.n != y.n:
+    n = len(y)
+    if len(x) != n:
         raise ValueError("rank mismatch")
-    n = x.n
-    letters, rot = _left_word(x.window)
-    w = y.window
-    z = list(w[rot:] + tuple(v + n for v in w[:rot]))
+    letters, rot = _left_word(x)
+    z = list(y[rot:] + tuple(v + n for v in y[:rot]))
     sign = 1
     for k in letters:
         d = 0 if k else n       # for s_0, z[k - 1] is z[n-1] and w(0) = w(n) - n
@@ -248,7 +208,7 @@ def signed_product(x: ExtAffinePerm, y: ExtAffinePerm):
         else:
             sign = -sign
     win, wraps = _canonicalize(z)
-    return sign, wraps, ExtAffinePerm._trusted(win)
+    return sign, wraps, win
 
 
 class Hecke0Element:
@@ -287,8 +247,7 @@ class Hecke0Element:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})*T{w.window}" for w, c in
-                          sorted(self.terms.items(), key=lambda t: t[0].window))
+        return " + ".join(f"({c})*T{w}" for w, c in sorted(self.terms.items()))
 
 
 class Hecke0Algebra:
@@ -304,11 +263,13 @@ class Hecke0Algebra:
             raise ValueError("zeta must be invertible")
 
     def element(self, terms) -> Hecke0Element:
+        terms = dict(terms)
+        for w in terms:
+            _check_window(w, self.n)
         return Hecke0Element(self, terms)
 
-    def basis(self, w: ExtAffinePerm) -> Hecke0Element:
-        if w.n != self.n:
-            raise ValueError("rank mismatch")
+    def basis(self, w: tuple) -> Hecke0Element:
+        _check_window(w, self.n)
         return Hecke0Element(self, {w: self.field.one})
 
     @property
@@ -400,7 +361,7 @@ def verify_translation_power(n: int, i: int, field: FqField | None = None) -> bo
     for _ in range(i):
         acc = acc * step
     t = translation((1,) * i + (0,) * (n - i))
-    if t.length() != i * (n - i):
+    if _length(t) != i * (n - i):
         return False
     return acc == H.basis(t)
 
@@ -458,14 +419,14 @@ class DerivationReport:
         return asdict(self)
 
 
-def has_finite_descent(x: ExtAffinePerm) -> bool:
+def has_finite_descent(x: tuple) -> bool:
     """Whether l(x * s_k) < l(x) for some finite generator k = 1..n-1, read
     off the value positions (see ``_value_positions``) without any length."""
-    pos = _value_positions(x.window)
-    return any(pos[k + 1] < pos[k] for k in range(1, x.n))
+    pos = _value_positions(x)
+    return any(pos[k + 1] < pos[k] for k in range(1, len(x)))
 
 
-def render_word(x: ExtAffinePerm) -> str:
+def render_word(x: tuple) -> str:
     """Readable word for an element: letters of a reduced word of the
     sum-zero part followed by the rotation power."""
     letters, rot = reduced_word(x)
@@ -491,10 +452,10 @@ class _ModuleEngine:
         self.rots = [rotation(algebra.n, k) for k in range(1, algebra.n)]
 
     @staticmethod
-    def _key(x: ExtAffinePerm):
-        return (x.length(), x.window)
+    def _key(x: tuple):
+        return (_length(x), x)
 
-    def apply(self, g: ExtAffinePerm, vec):
+    def apply(self, g: tuple, vec):
         """Left action of T_g on a module vector, projecting away symbols
         with finite right descents."""
         out = {}
@@ -592,19 +553,11 @@ def derive_rotation_invariance(n: int, length_cap: int,
     one = H.field.one
     v = {identity(n): one}
 
-    def op_elem(j: int) -> ExtAffinePerm:
-        """Group element of S_{j..(n-1)} Pi (equal to Pi when j = n)."""
-        x = identity(n)
-        for k in range(j, n):
-            x, _ = group_mul(x, simple(n, k))
-        x, _ = group_mul(x, rotation(n))
-        return x
-
-    z_ops = {j: op_elem(j) for j in range(1, n + 1)}
+    z_ops = {j: _operator_window(n, j) for j in range(1, n + 1)}
     for j, z in z_ops.items():
         assert not has_finite_descent(z), (j, z)
 
-    def idempotency_defect(g: ExtAffinePerm):
+    def idempotency_defect(g: tuple):
         """T_g T_g v - T_g v as a module vector."""
         gv = engine.apply(g, v)
         out = engine.apply(g, gv)

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import shlex
 import time
 
 from gln_modp import cli
@@ -304,3 +306,62 @@ def test_out_into_missing_directory(tmp_path, capsys):
 def test_out_onto_directory(tmp_path, capsys):
     code = main(SATAKE_ARGV + ["--out", str(tmp_path)])
     assert_schema_error_naming(code, capsys.readouterr().out, tmp_path)
+
+
+def _satake_job_file(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    return str(path)
+
+
+SATAKE_JOB = {"command": "satake", "params": {"n": 2, "q": 3, "nu": "0,0", "lam": "-2,0"}}
+
+
+def test_field_flag_applies_to_json_in_job_without_field(tmp_path, capsys):
+    assert main(SATAKE_ARGV + ["--field", "3,2"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["terms"]["-1,-1"] == "2,0"   # F_9 coefficients
+    path = _satake_job_file(tmp_path, SATAKE_JOB)
+    assert main(SATAKE_ARGV + ["--json-in", path, "--field", "3,2"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_json_in_job_field_wins_over_field_flag(tmp_path, capsys):
+    path = _satake_job_file(tmp_path, dict(SATAKE_JOB, scalar_field={"p": 3}))
+    assert main(SATAKE_ARGV + ["--json-in", path, "--field", "3,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"]["-1,-1"] == "2"
+
+
+def test_json_in_non_object_job_with_field_flag(tmp_path, capsys):
+    path = _satake_job_file(tmp_path, [1, 2])
+    code = main(SATAKE_ARGV + ["--json-in", path, "--field", "3,2"])
+    assert_schema_error(code, capsys.readouterr().out)
+
+
+def _readme_cli_commands():
+    """The ``gln-modp`` command lines of README's CLI block, with the quoted
+    JSON continuation lines joined to the line they continue."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        if not pending and not line.startswith("gln-modp"):
+            continue
+        pending = f"{pending}\n{line}" if pending else line
+        try:
+            commands.append(shlex.split(pending))
+        except ValueError:      # an open quote: the command continues
+            continue
+        pending = ""
+    assert not pending, pending
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert argv[0] == "gln-modp"
+        args = cli._parser().parse_args(cli._merge_negative_vectors(argv[1:]))
+        cli._job_from_args(args)   # the inline JSON parses too

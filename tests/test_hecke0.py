@@ -4,19 +4,33 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gln_modp.hecke0 as h0mod
 from gln_modp import cli
 from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
-    DerivationCapExceeded, ExtAffinePerm, Hecke0Algebra,
-    derive_rotation_invariance, group_mul, has_finite_descent, identity,
-    reduced_word, rotation, signed_product, simple, translation,
-    verify_braid_and_rotation, verify_translation_power,
+    DerivationCapExceeded, Hecke0Algebra, _canonicalize, _length,
+    _operator_window, _rotation, derive_rotation_invariance,
+    has_finite_descent, identity, reduced_word, rotation, signed_product,
+    simple, translation, verify_braid_and_rotation, verify_translation_power,
     verify_word_shift_identity,
 )
 
 F3 = FqField(3)
+
+
+def value(x, i):
+    """f(i) for any integer i, via n-periodicity."""
+    n = len(x)
+    r = (i - 1) % n
+    return x[r] + (i - 1 - r)
+
+
+def group_mul(x, y):
+    """Product in diagram order (x first): returns (result, wraps)."""
+    assert len(x) == len(y)
+    return _canonicalize(tuple(value(y, value(x, i)) for i in range(1, len(x) + 1)))
 
 
 def rand_perm(rng, n):
@@ -29,24 +43,51 @@ def rand_perm(rng, n):
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        ExtAffinePerm((1, 3))  # residues collide
-    assert ExtAffinePerm((3, 2)).rotation == 1
+    H = Hecke0Algebra(2, F3)
+    for window in ((1, 3),      # residues collide
+                   (3, 4),      # rotation degree 2, outside [0, 1]
+                   (1, 2, 3)):  # wrong rank
+        with pytest.raises(ValueError):
+            H.basis(window)
+        with pytest.raises(ValueError):
+            H.element({window: 1})
+    assert _rotation((3, 2)) == 1
+    assert H.basis((3, 2)) == H.element({(3, 2): 1})
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.integers(-5, 5), min_size=n, max_size=n))))
+def test_distinct_residues_give_integral_degree(case):
+    residues, shifts = case
+    n = len(residues)
+    w = tuple(r + n * s for r, s in zip(residues, shifts))
+    assert n * _rotation(w) == sum(w) - sum(range(1, n + 1))
+
+
+def test_operator_windows_are_word_products():
+    for n in range(2, 7):
+        for j in range(1, n + 1):
+            x = identity(n)
+            for k in range(j, n):
+                x, _ = group_mul(x, simple(n, k))
+            x, wraps = group_mul(x, rotation(n))
+            assert (x, wraps) == (_operator_window(n, j), 0)
+            assert not has_finite_descent(x)
 
 
 def test_lengths():
-    assert identity(4).length() == 0
-    assert rotation(5).length() == 0
-    assert simple(3, 0).length() == 1
-    assert simple(3, 2).length() == 1
-    assert translation((1, 0)).length() == 1
-    assert translation((0, 1)).length() == 1   # wrapped inversion family
-    assert translation((2, 0)).length() == 2
-    assert translation((1, 1, 0)).length() == 2
+    assert _length(identity(4)) == 0
+    assert _length(rotation(5)) == 0
+    assert _length(simple(3, 0)) == 1
+    assert _length(simple(3, 2)) == 1
+    assert _length(translation((1, 0))) == 1
+    assert _length(translation((0, 1))) == 1   # wrapped inversion family
+    assert _length(translation((2, 0))) == 2
+    assert _length(translation((1, 1, 0))) == 2
     for n in (2, 3, 4, 5):
         for i in range(1, n):
             t = translation((1,) * i + (0,) * (n - i))
-            assert t.length() == i * (n - i)
+            assert _length(t) == i * (n - i)
 
 
 def test_relations():
@@ -88,7 +129,7 @@ def test_sign_is_defect_parity():
         for _ in range(80):
             a, b = rand_perm(rng, n), rand_perm(rng, n)
             sign, wraps, z = signed_product(a, b)
-            defect = a.length() + b.length() - z.length()
+            defect = _length(a) + _length(b) - _length(z)
             assert defect >= 0
             assert sign == (-1) ** defect
             if defect == 0:
@@ -119,7 +160,7 @@ def test_reduced_word_spells_the_element():
         for _ in range(30):
             x = rand_perm(rng, n)
             letters, rot = reduced_word(x)
-            assert len(letters) == x.length()
+            assert len(letters) == _length(x)
             assert H.word_product(letters, rot) == H.basis(x)
 
 
@@ -192,7 +233,7 @@ def test_cap_exceeded_reports_inconclusive(monkeypatch):
 
 def _times_simple(x, k):
     """x * s_k in diagram order: s_k swaps the value classes k and k+1 mod n."""
-    n = x.n
+    n = len(x)
 
     def act(v):
         if v % n == k % n:
@@ -201,35 +242,36 @@ def _times_simple(x, k):
             return v - 1
         return v
 
-    return ExtAffinePerm(tuple(act(v) for v in x.window))
+    return tuple(act(v) for v in x)
 
 
 def _reference_reduced_word(x):
     """Peel the smallest k with l(u * s_k) < l(u), comparing lengths."""
-    u = ExtAffinePerm(x.translation_free_window)
+    rot = _rotation(x)
+    u = tuple(v - rot for v in x)
     letters = []
-    while u.length():
-        k = next(k for k in range(x.n) if _times_simple(u, k).length() < u.length())
+    while _length(u):
+        k = next(k for k in range(len(x)) if _length(_times_simple(u, k)) < _length(u))
         letters.append(k)
         u = _times_simple(u, k)
-    return letters[::-1], x.rotation
+    return letters[::-1], rot
 
 
 def _reference_signed_product(x, y):
     """T_x T_y by walking a reduced word of the right factor y from x, then
     multiplying by y's rotation and removing whole turns Pi^n."""
-    n = x.n
+    n = len(x)
     letters, rot = _reference_reduced_word(y)
     z, sign = x, 1
     for k in letters:
         nxt = _times_simple(z, k)
-        if nxt.length() > z.length():
+        if _length(nxt) > _length(z):
             z = nxt
         else:
             sign = -sign
-    raw = tuple(v + rot for v in z.window)
+    raw = tuple(v + rot for v in z)
     wraps = sum(raw[i] - (i + 1) for i in range(n)) // n // n
-    return sign, wraps, ExtAffinePerm(tuple(v - n * wraps for v in raw)).window
+    return sign, wraps, tuple(v - n * wraps for v in raw)
 
 
 def _long_perm(rng, n, max_len):
@@ -238,7 +280,7 @@ def _long_perm(rng, n, max_len):
     x = identity(n)
     for _ in range(rng.randint(0, 3 * max_len)):
         nxt, _ = group_mul(x, simple(n, rng.randrange(n)))
-        if nxt.length() <= max_len:
+        if _length(nxt) <= max_len:
             x = nxt
     x, _ = group_mul(x, rotation(n, rng.randrange(n)))
     return x
@@ -249,11 +291,7 @@ def _short_factors(n):
     derivation's operators S_{j..(n-1)} Pi and its translations."""
     out = [identity(n)] + [simple(n, k) for k in range(n)]
     out += [rotation(n, k) for k in range(1, n)]
-    for j in range(1, n + 1):
-        x = identity(n)
-        for k in range(j, n):
-            x, _ = group_mul(x, simple(n, k))
-        out.append(group_mul(x, rotation(n))[0])
+    out += [_operator_window(n, j) for j in range(1, n + 1)]
     out += [translation((1,) * i + (0,) * (n - i)) for i in range(1, n)]
     return out
 
@@ -274,7 +312,7 @@ def test_signed_product_matches_right_word_reference():
             x = rng.choice(shorts) if rng.random() < 0.5 else _long_perm(rng, n, 6)
             y = _long_perm(rng, n, 15)
             sign, wraps, z = signed_product(x, y)
-            assert (sign, wraps, z.window) == _reference_signed_product(x, y), (x, y)
+            assert (sign, wraps, z) == _reference_signed_product(x, y), (x, y)
 
 
 @pytest.mark.parametrize("n,cap,longest", [(3, 20, 7), (4, 16, 15)])
@@ -293,13 +331,13 @@ def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest
         derive_rotation_invariance(n, cap)
     except DerivationCapExceeded:
         pass
-    pairs = sorted(seen, key=lambda p: (p[0].window, p[1].window))
-    assert max(y.length() for _, y in pairs) >= longest
+    pairs = sorted(seen)
+    assert max(_length(y) for _, y in pairs) >= longest
     if len(pairs) > 1500:
         pairs = random.Random(13).sample(pairs, 1500)
     for x, y in pairs:
         sign, wraps, z = seen[x, y]
-        assert (sign, wraps, z.window) == _reference_signed_product(x, y), (x, y)
+        assert (sign, wraps, z) == _reference_signed_product(x, y), (x, y)
 
 
 def test_finite_descent_matches_length_definition():
@@ -308,7 +346,7 @@ def test_finite_descent_matches_length_definition():
     for n in (2, 3, 4, 5):
         for _ in range(600):
             x = _long_perm(rng, n, 15)
-            expect = any(_times_simple(x, k).length() < x.length() for k in range(1, n))
+            expect = any(_length(_times_simple(x, k)) < _length(x) for k in range(1, n))
             assert has_finite_descent(x) == expect, x
             hits += expect
     assert 0 < hits < 2400
