@@ -43,7 +43,11 @@ class SchemaError(Exception):
 
 
 def _int(value, name: str) -> int:
+    """An integer parameter; a boolean or a float with a fractional part is
+    not one, although int() would truncate it."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError(value)
         return int(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad integer {name} {value!r}") from exc

@@ -120,21 +120,6 @@ def _operator_window(n: int, j: int) -> tuple:
     return tuple(w)
 
 
-def _apply_simple_left(k: int, x: tuple) -> tuple:
-    """x * s_k in diagram order: s_k acts on window values."""
-    n = len(x)
-    out = []
-    for v in x:
-        r = v % n
-        if r == k % n:
-            out.append(v + 1)
-        elif r == (k + 1) % n:
-            out.append(v - 1)
-        else:
-            out.append(v)
-    return tuple(out)
-
-
 def _value_positions(window) -> list:
     """pos[v] for v = 0..n: the position i with f(i) = v on the window line.
 
@@ -154,16 +139,19 @@ def _value_positions(window) -> list:
 def reduced_word(x: tuple):
     """A reduced word for the sum-zero part: returns (letters, rot) with
     x = s_{letters[0]} * ... * s_{letters[-1]} * Pi^rot in diagram order.
-    Deterministic: always peels the smallest descent."""
+    Deterministic: always peels the smallest descent; s_k swaps pos[k], pos[k+1]."""
+    n = len(x)
     rot = _rotation(x)
-    u = tuple(v - rot for v in x)
+    pos = _value_positions(tuple(v - rot for v in x))
     letters = []
-    for _ in range(_length(u)):
-        pos = _value_positions(u)
-        k = min(k for k in range(len(u)) if pos[k + 1] < pos[k])
+    while (k := next((k for k in range(n) if pos[k + 1] < pos[k]), None)) is not None:
         letters.append(k)
-        u = _apply_simple_left(k, u)
-    return list(reversed(letters)), rot
+        pos[k], pos[k + 1] = pos[k + 1], pos[k]
+        if k == 0:
+            pos[n] = pos[0] + n
+        elif k == n - 1:
+            pos[0] = pos[n] - n
+    return letters[::-1], rot
 
 
 # only generators, rotations and short operator words occur as left factors
@@ -261,6 +249,11 @@ class Hecke0Algebra:
         self.zeta = field(zeta)
         if not self.zeta:
             raise ValueError("zeta must be invertible")
+        # sign * zeta^wraps by (sign, wraps).  For canonical x, y, signed_product
+        # starts from Pi^(deg x) y, of degree deg x + deg y in [0, 2n-2], and its
+        # letters are position swaps, which keep the window sum: wraps is 0 or 1.
+        self._scalars = {(1, 0): field.one, (-1, 0): -field.one,
+                         (1, 1): self.zeta, (-1, 1): -self.zeta}
 
     def element(self, terms) -> Hecke0Element:
         terms = dict(terms)
@@ -282,16 +275,12 @@ class Hecke0Algebra:
     def Pi(self, k: int = 1) -> Hecke0Element:
         return self.basis(rotation(self.n, k))
 
-    def _scalar(self, sign: int, wraps: int) -> FqElem:
-        """sign * zeta^wraps, the scalar of a signed basis product."""
-        return self.field(sign) * self.zeta ** wraps
-
     def multiply(self, a: Hecke0Element, b: Hecke0Element) -> Hecke0Element:
         out = {}
         for x, cx in a.terms.items():
             for y, cy in b.terms.items():
                 sign, wraps, z = signed_product(x, y)
-                accumulate(out, z, cx * cy * self._scalar(sign, wraps))
+                accumulate(out, z, cx * cy * self._scalars[sign, wraps])
         return Hecke0Element(self, out)
 
     def word_product(self, letters, rot: int = 0) -> Hecke0Element:
@@ -326,9 +315,7 @@ def verify_braid_and_rotation(n: int, field: FqField | None = None) -> bool:
     for k in range(1, n - 1):
         ok &= H.S(k) * H.S(k + 1) * H.S(k) == H.S(k + 1) * H.S(k) * H.S(k + 1)
         ok &= H.S(k) * H.Pi() == H.Pi() * H.S(k + 1)
-    pin = H.one
-    for _ in range(n):
-        pin = pin * H.Pi()
+    pin = H.word_product([], n)
     ok &= pin == H.element({identity(n): H.zeta})
     for i in range(1, n):
         ok &= pin * H.S(i) == H.S(i) * pin
@@ -462,7 +449,7 @@ class _ModuleEngine:
         for sym, c in vec.items():
             sign, wraps, z = signed_product(g, sym)
             if not has_finite_descent(z):
-                accumulate(out, z, c * self.H._scalar(sign, wraps))
+                accumulate(out, z, c * self.H._scalars[sign, wraps])
         return out
 
     def reduce(self, vec):
@@ -474,8 +461,6 @@ class _ModuleEngine:
         while work:
             key = max(work, key=self._key)
             c = work.pop(key)
-            if not c:
-                continue
             if key in self.rows:
                 row, d = self.rows[key]
                 used = max(used, d)

@@ -11,7 +11,7 @@ modules for tiny cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .finite_field import prime_radical
@@ -32,10 +32,11 @@ class WeightClass:
 
     nu: tuple
     q: int
+    p: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nu", tuple(self.nu))
-        prime_radical(self.q)
+        object.__setattr__(self, "p", prime_radical(self.q))
         if not is_dominant(self.nu):
             raise ValueError(f"{self.nu} is not dominant")
         for i in range(1, len(self.nu)):
@@ -43,10 +44,6 @@ class WeightClass:
                 raise ValueError(f"{self.nu} is not {self.q}-restricted")
         if self.nu[-1] % (self.q - 1) != self.nu[-1]:
             raise ValueError(f"{self.nu} is not canonical (last entry not in [0, q-2])")
-
-    @property
-    def p(self) -> int:
-        return prime_radical(self.q)
 
     @property
     def n(self) -> int:
@@ -89,6 +86,8 @@ class LeviWeightClass:
 def make_levi_weight(M: StandardParabolic, nu, q: int) -> LeviWeightClass:
     """Canonicalize blockwise (each block modulo (q-1)(1,...,1) on the block)."""
     nu = list(nu)
+    if len(nu) != M.n:
+        raise ValueError("rank mismatch")
     for block in M.blocks():
         last = block[-1]
         shift = nu[last - 1] - (nu[last - 1] % (q - 1))

@@ -258,6 +258,29 @@ def test_malformed_n_list_or_null():
                                       "params": {"action": "verify", "n": n}}))
 
 
+def test_weights_cover_rank_mismatch_is_a_domain_error(capsys):
+    code, text = run_job({"command": "weights", "params": {
+        "action": "cover", "q": 3, "nu": "2,1,0", "M": "4"}})
+    assert code == 1 and json.loads(text)["error"] == {"kind": "domain",
+                                                       "message": "rank mismatch"}
+    assert main(["weights", "cover", "--q", "3", "--nu", "2,1,0", "--M", "4"]) == 1
+    assert capsys.readouterr().out == text
+
+
+def test_fractional_q_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "weights", "params": {
+        "action": "restrict", "q": 3.7, "nu": "0,0", "P": "1,1"}}))
+
+
+def test_fractional_max_n_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "verify", "params": {"max_n": 2.9}}))
+
+
+def test_boolean_n_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "hecke0",
+                                  "params": {"action": "verify", "n": True}}))
+
+
 SATAKE_ARGV = ["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0"]
 
 
@@ -365,3 +388,14 @@ def test_readme_cli_examples_parse():
         assert argv[0] == "gln-modp"
         args = cli._parser().parse_args(cli._merge_negative_vectors(argv[1:]))
         cli._job_from_args(args)   # the inline JSON parses too
+
+
+def test_field_environment_variable_ranks_below_job_and_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_FIELD, "3,2")
+    assert main(SATAKE_ARGV) == 0
+    assert json.loads(capsys.readouterr().out)["terms"]["-1,-1"] == "2,0"   # F_9
+    assert main(SATAKE_ARGV + ["--field", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"]["-1,-1"] == "2"     # F_3
+    path = _satake_job_file(tmp_path, dict(SATAKE_JOB, scalar_field={"p": 3}))
+    assert main(SATAKE_ARGV + ["--json-in", path, "--field", "3,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"]["-1,-1"] == "2"

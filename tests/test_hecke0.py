@@ -64,6 +64,25 @@ def test_distinct_residues_give_integral_degree(case):
     assert n * _rotation(w) == sum(w) - sum(range(1, n + 1))
 
 
+@st.composite
+def canonical_window_pairs(draw):
+    n = draw(st.integers(2, 6))
+
+    def window():
+        residues = draw(st.permutations(range(1, n + 1)))
+        shifts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return _canonicalize(tuple(r + n * s for r, s in zip(residues, shifts)))[0]
+
+    return window(), window()
+
+
+@given(canonical_window_pairs())
+def test_products_of_canonical_windows_wrap_at_most_once(pair):
+    # Hecke0Algebra's four product scalars +-1, +-zeta rely on this
+    x, y = pair
+    assert signed_product(x, y)[1] in (0, 1)
+
+
 def test_operator_windows_are_word_products():
     for n in range(2, 7):
         for j in range(1, n + 1):

@@ -56,6 +56,12 @@ def test_regular_cover_examples():
     assert regular_cover(make_levi_weight(T3, (0, 0, 0), 3)).nu == (4, 2, 0)
 
 
+def test_levi_weight_of_the_wrong_rank_is_refused():
+    for nu in ((2, 1, 0), (2, 1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            make_levi_weight(StandardParabolic((4,)), nu, 3)
+
+
 def test_cover_section_property():
     for n in (2, 3):
         for q in (2, 3, 4):
