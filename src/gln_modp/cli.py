@@ -76,18 +76,19 @@ def _comp(value) -> StandardParabolic:
     if isinstance(value, str):
         value = _vec(value)
     try:
-        return StandardParabolic(tuple(int(v) for v in value))
-    except (TypeError, ValueError) as exc:
+        return StandardParabolic(tuple(_int(v, "part") for v in value))
+    except (SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad composition {value!r}") from exc
 
 
 def _field_from_spec(spec) -> FqField:
     try:
-        p = int(spec["p"])
-        m = int(spec.get("m", 1))
+        p = _int(spec["p"], "p")
+        m = _int(spec.get("m", 1), "m")
         modulus = spec.get("modulus")
-        return FqField(p, m, tuple(modulus) if modulus else None)
-    except (KeyError, TypeError, ValueError) as exc:
+        return FqField(p, m, tuple(_int(c, "modulus coefficient")
+                                   for c in _array(modulus, "modulus")) if modulus else None)
+    except (KeyError, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad scalar field spec {spec!r}: {exc}") from exc
 
 
@@ -117,8 +118,8 @@ def _resolve_field(job) -> FqField:
 def _char(field: FqField, q: int, obj) -> eig.SmoothCharacter:
     try:
         unram = field.parse(str(obj["unramified"]))
-        tame = int(obj.get("tame", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        tame = _int(obj.get("tame", 0), "tame")
+    except (KeyError, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad character {obj!r}") from exc
     return eig.SmoothCharacter(unram, tame, q)
 
@@ -181,7 +182,9 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
     multiset, one edge per covering relation, deterministic ordering."""
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     sets = lattice.sets
-    short = [rep.short() for rep in lattice.poset.elements]
+    # DOT quoted strings escape backslash and double quote
+    short = [rep.short().replace("\\", "\\\\").replace('"', '\\"')
+             for rep in lattice.poset.elements]
     for idx, s in enumerate(sets):
         label = " + ".join(short[j] for j in sorted(s)) if s else "0"
         lines.append(f'  L{idx} [label="{label}"];')

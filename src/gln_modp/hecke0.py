@@ -454,7 +454,11 @@ class _ModuleEngine:
 
     def reduce(self, vec):
         """Fully reduce against the echelon rows; returns (remainder, depth
-        of the deepest row used)."""
+        of the deepest row used).
+
+        A row holds only symbols below its pivot, so each pop is strictly
+        below the one before: the remainder's keys come out in decreasing
+        ``_key`` order, its first key the largest."""
         work = dict(vec)
         out = {}
         used = 0
@@ -475,7 +479,7 @@ class _ModuleEngine:
         rem, _ = self.reduce(vec)
         if not rem:
             return False
-        pivot = max(rem, key=self._key)
+        pivot = next(iter(rem))
         inv = rem[pivot].inverse()
         row = {sym: c * inv for sym, c in rem.items()}
         self.rows[pivot] = (row, depth)

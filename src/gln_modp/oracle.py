@@ -29,7 +29,7 @@ from .root_datum import StandardParabolic, all_parabolics, stab_levi
 from .weights import make_weight, is_M_regular
 
 SIZE_GUARD = 10 ** 6
-# (n, q) pairs whose groups, subspaces and module families stay cached
+# (n, q) pairs whose groups and module families stay cached
 _CACHED_GROUPS = 8
 
 
@@ -156,7 +156,6 @@ def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
     return fact(n) // denom
 
 
-@lru_cache(maxsize=4 * _CACHED_GROUPS)
 def subspaces(n: int, q: int, k: int):
     """All k-dimensional subspaces of F_q^n as canonical rref row bases."""
     _require_prime(q)
@@ -181,17 +180,21 @@ def _act_on_subspace(g, S, q):
     return rref(rows, q)[0]
 
 
-def _upper_unipotent_gens(n: int, q: int, positions=None):
-    """Elementary generators E_{ab}(c) for the given strictly-upper positions
-    (all of them by default), c over F_q^*."""
-    if positions is None:
-        positions = [(a, b) for a in range(n) for b in range(a + 1, n)]
+def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
+    """Elementary generators E_ab(c), c over F_q^*, of the unipotent radical
+    of P: the positions (a, b) above P's diagonal blocks, or below them for
+    the opposite radical when not ``upper``, row by row.  The radical of the
+    Borel, P = torus, is the full upper unipotent group."""
+    n = P.n
+    block = [P.block_of(j + 1) for j in range(n)]
     gens = []
-    for (a, b) in positions:
-        for c in range(1, q):
-            g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            g[a][b] = c
-            gens.append(tuple(tuple(r) for r in g))
+    for a in range(n):
+        for b in range(n):
+            if block[a] < block[b] if upper else block[a] > block[b]:
+                for c in range(1, q):
+                    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+                    g[a][b] = c
+                    gens.append(tuple(tuple(r) for r in g))
     return gens
 
 
@@ -202,7 +205,7 @@ def iwasawa_orbit_counts(n: int, q: int, i: int):
     _require_enumerable(n, q)
     if not 1 <= i <= n - 1:
         raise ValueError("index out of range")
-    gens = _upper_unipotent_gens(n, q)
+    gens = _radical_gens(StandardParabolic.torus(n), q)
     remaining = set(subspaces(n, q, i))
     counts = {}
     while remaining:
@@ -264,7 +267,8 @@ class TinyWeightModule:
     nu: tuple
     basis: tuple       # labels (exponent tuples or index subsets)
     gradings: tuple    # integer weight of each basis element
-    _columns: object   # callable g -> matrix columns in the basis
+    b: int             # the module is twisted by det^b
+    _untwisted: object  # callable g -> row tuples of g's untwisted matrix
 
     def __post_init__(self):
         self._cache = {}
@@ -277,7 +281,11 @@ class TinyWeightModule:
         """Column-convention matrix of g on the module."""
         M = self._cache.get(g)
         if M is None:
-            M = self._columns(g)
+            M = self._untwisted(g)
+            if self.b:
+                q = self.q
+                detb = pow(mat_det(g, q), self.b, q)
+                M = tuple(tuple(x * detb % q for x in row) for row in M)
             self._cache[g] = M
         return M
 
@@ -308,25 +316,21 @@ def sym_power_module(n: int, q: int, a: int, b: int = 0) -> TinyWeightModule:
     index = {m: k for k, m in enumerate(monos)}
     nu = tuple((a if j == 0 else 0) + b for j in range(n))
 
-    def columns(g):
-        detb = pow(mat_det(g, q), b, q) if b else 1
-        cols = []
+    def untwisted(g):
         lin = [{tuple(1 if r == i else 0 for r in range(n)): g[i][j] % q
                 for i in range(n) if g[i][j] % q} for j in range(n)]
-        for m in monos:
+        M = [[0] * len(monos) for _ in monos]
+        for k, m in enumerate(monos):
             acc = {(0,) * n: 1}
             for j, e in enumerate(m):
                 for _ in range(e):
                     acc = _poly_mult(acc, lin[j], q)
-            col = [0] * len(monos)
             for mono, c in acc.items():
-                col[index[mono]] = c * detb % q
-            cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(len(monos)))
-                     for i in range(len(monos)))
+                M[index[mono]][k] = c
+        return tuple(tuple(row) for row in M)
 
     return TinyWeightModule(n, q, nu, tuple(monos),
-                            tuple(tuple(mj + b for mj in m) for m in monos), columns)
+                            tuple(tuple(mj + b for mj in m) for m in monos), b, untwisted)
 
 
 def exterior_power_module(n: int, q: int, k: int, b: int = 0) -> TinyWeightModule:
@@ -336,25 +340,15 @@ def exterior_power_module(n: int, q: int, k: int, b: int = 0) -> TinyWeightModul
     if not 1 <= k <= n:
         raise ValueError("exterior power degree out of range")
     subsets = sorted(combinations(range(n), k))
-    index = {s: j for j, s in enumerate(subsets)}
     nu = tuple((1 if j < k else 0) + b for j in range(n))
 
-    def columns(g):
-        detb = pow(mat_det(g, q), b, q) if b else 1
-        cols = []
-        for S in subsets:
-            col = [0] * len(subsets)
-            for T in subsets:
-                minor = tuple(tuple(g[r][c] for c in S) for r in T)
-                d = mat_det(minor, q)
-                if d:
-                    col[index[T]] = d * detb % q
-            cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(len(subsets)))
-                     for i in range(len(subsets)))
+    def untwisted(g):
+        # the entry at (T, S) is the minor of g on rows T and columns S
+        return tuple(tuple(mat_det([[g[r][c] for c in S] for r in T], q)
+                           for S in subsets) for T in subsets)
 
     gradings = tuple(tuple((1 if j in S else 0) + b for j in range(n)) for S in subsets)
-    return TinyWeightModule(n, q, nu, tuple(subsets), gradings, columns)
+    return TinyWeightModule(n, q, nu, tuple(subsets), gradings, b, untwisted)
 
 
 @lru_cache(maxsize=_CACHED_GROUPS)
@@ -375,43 +369,31 @@ def supported_weight_modules(n: int, q: int):
     return MappingProxyType(out)
 
 
-def _block_positions(P: StandardParabolic, upper: bool):
-    """Strictly upper (or lower) positions crossing the block structure."""
-    n = P.n
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if (P.block_of(a + 1) < P.block_of(b + 1) if upper
-                    else P.block_of(a + 1) > P.block_of(b + 1)):
-                out.append((a, b))
-    return out
+def _module(n: int, q: int, nu) -> TinyWeightModule:
+    """The module of the supported family with highest weight nu."""
+    mod = supported_weight_modules(n, q).get(make_weight(tuple(nu), q).nu)
+    if mod is None:
+        raise ValueError(f"nu={nu} is outside the supported family")
+    return mod
+
+
+def _minus_one(module: TinyWeightModule, g):
+    """The rows of the matrix of g - 1 on the module."""
+    q = module.q
+    return [tuple((x - (i == j)) % q for j, x in enumerate(row))
+            for i, row in enumerate(module.matrix(g))]
 
 
 def invariant_space(module: TinyWeightModule, gens):
     """Basis of the joint fixed space of the generators."""
-    rows = []
-    d, q = module.dim, module.q
-    for g in gens:
-        M = module.matrix(g)
-        for i in range(d):
-            rows.append(tuple((M[i][j] - (1 if i == j else 0)) % q for j in range(d)))
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    return nullspace(rows, q, d)
+    rows = [row for g in gens for row in _minus_one(module, g)]
+    return nullspace(rows, module.q, module.dim)
 
 
 def coinvariant_kernel(module: TinyWeightModule, gens):
     """rref basis and pivots of span{(g - 1)v}: the kernel of the projection
     onto the coinvariants."""
-    rows = []
-    d, q = module.dim, module.q
-    for g in gens:
-        M = module.matrix(g)
-        for j in range(d):
-            col = tuple((M[i][j] - (1 if i == j else 0)) % q for i in range(d))
-            if any(col):
-                rows.append(col)
-    return rref(rows, q) if rows else ((), ())
+    return rref([col for g in gens for col in zip(*_minus_one(module, g))], module.q)
 
 
 def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> bool:
@@ -420,26 +402,18 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     opposite radical, the full-unipotent invariants are one-dimensional,
     carry the T(k)-character of nu, and the invariant space is exactly the
     sum of the graded pieces congruent to nu modulo the block root lattice."""
-    mods = supported_weight_modules(n, q)
-    key = make_weight(tuple(nu), q).nu
-    if key not in mods:
-        raise ValueError(f"nu={nu} is outside the supported family")
-    mod = mods[key]
-    q_ = mod.q
+    mod = _module(n, q, nu)
 
-    gens_N = _upper_unipotent_gens(n, q, _block_positions(P, upper=True))
-    gens_Nbar = _upper_unipotent_gens(n, q, _block_positions(P, upper=False))
-
-    inv = invariant_space(mod, gens_N)
-    K, piv = coinvariant_kernel(mod, gens_Nbar)
+    inv = invariant_space(mod, _radical_gens(P, q))
+    K, piv = coinvariant_kernel(mod, _radical_gens(P, q, upper=False))
     if len(inv) != mod.dim - len(K):
         return False
-    reduced = [_reduce_mod(K, piv, v, q_) for v in inv]
-    if mat_rank(reduced, q_) != len(inv):
+    reduced = [_reduce_mod(K, piv, v, q) for v in inv]
+    if mat_rank(reduced, q) != len(inv):
         return False
 
     # full-unipotent invariants: one line, carrying the character of nu
-    inv_U = invariant_space(mod, _upper_unipotent_gens(n, q))
+    inv_U = invariant_space(mod, _radical_gens(StandardParabolic.torus(n), q))
     if len(inv_U) != 1:
         return False
     w = inv_U[0]
@@ -448,7 +422,7 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
         tw = mod.act(diag, w)
         scalar = 1
         for tj, nj in zip(t, mod.nu):
-            scalar = scalar * pow(tj, nj % (q - 1) if q > 2 else 0, q) % q
+            scalar = scalar * pow(tj, nj, q) % q
         if tw != tuple(x * scalar % q for x in w):
             return False
 
@@ -516,14 +490,9 @@ def _support_failures(n: int, q: int, nu, P: StandardParabolic,
     """Every kappa outside the big cell with a nonzero projection, lazily
     and in the order of ``gl_elements``: the support gate without its
     regularity hypothesis."""
-    mods = supported_weight_modules(n, q)
-    if nu not in mods:
-        raise ValueError(f"nu={nu} is outside the supported family")
-    mod = mods[nu]
-
-    inv = invariant_space(mod, _upper_unipotent_gens(n, q, _block_positions(P, upper=True)))
-    K, piv = coinvariant_kernel(
-        mod, _upper_unipotent_gens(n, q, _block_positions(Q, upper=False)))
+    mod = _module(n, q, nu)
+    inv = invariant_space(mod, _radical_gens(P, q))
+    K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
 
     for kappa in _off_big_cell(n, q, Q, P):
         if any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv):

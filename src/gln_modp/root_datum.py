@@ -17,7 +17,6 @@ subset of simple roots is everything except the block boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 
@@ -176,12 +175,19 @@ def leq_M(mu, lam, M: StandardParabolic) -> bool:
     return ps + lam[-1] - mu[-1] == 0
 
 
-# an algebra_session pass fills about 320 entries, its whole job pool 421
-@lru_cache(maxsize=1 << 13)
-def _interval_above(mu, comp):
+def interval_above(mu, M: StandardParabolic):
+    """All antidominant lam with lam >=_M mu, in lexicographic order.
+
+    Built entry by entry from the coroot coordinates of lam - mu, its
+    partial sums: they stay >= 0 and vanish at the end of every Levi block
+    (outside Delta_M).  Every prefix built extends to a member: in its
+    block, take each later entry as small as both lower bounds allow and
+    give the last entry the rest of the block sum."""
+    if not is_antidominant(mu):
+        raise ValueError(f"{mu} is not antidominant")
     n = len(mu)
     # ends[t]: one past the last coordinate of the Levi block holding t
-    ends = [block[-1] for block in StandardParabolic(comp).blocks() for _ in block]
+    ends = [block[-1] for block in M.blocks() for _ in block]
     rests = [sum(mu[t:ends[t]]) for t in range(n)]
     out = []
 
@@ -201,19 +207,6 @@ def _interval_above(mu, comp):
 
     extend((), mu[0], 0)
     return tuple(out)
-
-
-def interval_above(mu, M: StandardParabolic):
-    """All antidominant lam with lam >=_M mu, in lexicographic order.
-
-    Built entry by entry from the coroot coordinates of lam - mu, its
-    partial sums: they stay >= 0 and vanish at the end of every Levi block
-    (outside Delta_M).  Every prefix built extends to a member: in its
-    block, take each later entry as small as both lower bounds allow and
-    give the last entry the rest of the block sum."""
-    if not is_antidominant(mu):
-        raise ValueError(f"{mu} is not antidominant")
-    return _interval_above(tuple(mu), M.composition)
 
 
 def stab_levi(nu) -> StandardParabolic:

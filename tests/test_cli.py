@@ -141,6 +141,13 @@ def test_dot_covers_match_pairwise_reference():
         assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
 
 
+def test_dot_labels_escape_quotes_and_backslashes():
+    one = trivial_character(FqField(3, 2), 3)
+    datum = InductionDatum(StandardParabolic((2,)), (Supersingular(2, 'a"b\\c', one),))
+    dot = export_lattice_dot(submodule_lattice(datum))
+    assert '  L1 [label="Ind(ss2[a\\"b\\\\c])"];' in dot.splitlines()
+
+
 def test_lattice_output_pinned():
     # sha256 of `lattice` output for the length-16 principal series
     # (delta = 4), captured from the exhaustive enumeration
@@ -279,6 +286,45 @@ def test_fractional_max_n_is_a_schema_error():
 def test_boolean_n_is_a_schema_error():
     assert_schema_error(*run_job({"command": "hecke0",
                                   "params": {"action": "verify", "n": True}}))
+
+
+SATAKE_PARAMS = {"n": 2, "q": 3, "nu": "0,0", "lam": "0,0"}
+
+
+def test_fractional_modulus_coefficient_is_a_schema_error():
+    # "211" would be the irreducible x^2 + x + 2 if read digit by digit
+    for modulus in ([2.5, 0, 1], "211"):
+        assert_schema_error(*run_job({
+            "command": "eigen", "scalar_field": {"p": 3, "m": 2, "modulus": modulus},
+            "params": {"action": "eval-tau", "q": 9, "lam": "-1,-1", "pair": {
+                "M": [1, 1], "chars": [{"unramified": "0,1"}, {"unramified": "0,1"}]}}}))
+
+
+def test_fractional_field_prime_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "satake", "scalar_field": {"p": 3.9},
+                                  "params": SATAKE_PARAMS}))
+    code, text = run_job({"command": "satake", "scalar_field": {"p": 4},
+                          "params": SATAKE_PARAMS})
+    assert_schema_error(code, text)
+    assert json.loads(text)["error"]["message"] == (
+        "bad scalar field spec {'p': 4}: p = 4 is not prime")
+
+
+def test_fractional_field_degree_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "satake", "scalar_field": {"p": 3, "m": 2.7},
+                                  "params": SATAKE_PARAMS}))
+
+
+def test_fractional_tame_exponent_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "eigen", "params": {
+        "action": "supersingular", "q": 3,
+        "pair": {"M": [2], "chars": [{"unramified": "1", "tame": 1.7}]}}}))
+
+
+def test_boolean_composition_part_is_a_schema_error():
+    assert_schema_error(*run_job({"command": "eigen", "params": {
+        "action": "factors", "q": 3, "L": [True, 1],
+        "pair": {"M": [1, 1], "chars": [{"unramified": "1"}, {"unramified": "2"}]}}}))
 
 
 SATAKE_ARGV = ["satake", "--n", "2", "--q", "3", "--nu", "0,0", "--lam", "-2,0"]

@@ -206,6 +206,23 @@ def test_derivation_success():
         assert rep.minimal_sufficient_cap <= rep.cap
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
+    # insert takes the first key of reduce's remainder as the pivot
+    reduce, sizes = h0mod._ModuleEngine.reduce, []
+
+    def checked(self, vec):
+        rem, used = reduce(self, vec)
+        keys = [self._key(x) for x in rem]
+        assert all(a > b for a, b in zip(keys, keys[1:])), keys
+        sizes.append(len(rem))
+        return rem, used
+
+    monkeypatch.setattr(h0mod._ModuleEngine, "reduce", checked)
+    assert derive_rotation_invariance(n, max(n * n, 20)).status == "derived"
+    assert max(sizes) > 1
+
+
 def test_derivation_trace_n2():
     rep = derive_rotation_invariance(2, 4)
     assert rep.steps[0].trace == (

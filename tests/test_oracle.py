@@ -1,8 +1,8 @@
 import pytest
 
 from gln_modp.oracle import (
-    _block_positions, _off_big_cell, _reduce_mod, _support_failures,
-    _upper_unipotent_gens, check_double_coset_support,
+    _off_big_cell, _radical_gens, _reduce_mod, _support_failures,
+    check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
@@ -21,12 +21,52 @@ def mat_mul(A, B, q):
                        for j in range(m)) for i in range(n))
 
 
+def crossing_positions(P, upper):
+    """The positions (a, b) above P's diagonal blocks, or below them when
+    not ``upper``."""
+    n = P.n
+    return [(a, b) for a in range(n) for b in range(n)
+            if (P.block_of(a + 1) < P.block_of(b + 1) if upper
+                else P.block_of(a + 1) > P.block_of(b + 1))]
+
+
 def parabolic_elements(n, q, P, opposite=False):
     """Elements of the block-upper standard parabolic (block-lower when
     ``opposite``): the entries crossing the blocks on the wrong side vanish."""
-    forbidden = _block_positions(P, upper=opposite)
+    forbidden = crossing_positions(P, upper=opposite)
     return [g for g in gl_elements(n, q)
             if all(g[a][b] == 0 for a, b in forbidden)]
+
+
+def radical_elements(n, q, P, upper):
+    """N_P (its opposite when not ``upper``) by brute force: the elements
+    that are the identity outside the positions above (below) the blocks."""
+    free = set(crossing_positions(P, upper))
+    return {g for g in gl_elements(n, q)
+            if all(g[a][b] == (a == b) for a in range(n) for b in range(n)
+                   if (a, b) not in free)}
+
+
+def group_closure(gens, n, q):
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = mat_mul(g, s, q)
+            if h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return seen
+
+
+def test_radical_gens_generate_the_unipotent_radicals():
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for P in all_parabolics(n):
+            for upper in (True, False):
+                gens = _radical_gens(P, q, upper)
+                assert len(gens) == len(crossing_positions(P, upper)) * (q - 1)
+                assert group_closure(gens, n, q) == radical_elements(n, q, P, upper)
 
 
 def test_group_enumeration_matches_formula():
@@ -159,9 +199,8 @@ def _full_scan_failures(n, q, nu, P, Q):
     """The support gate written out over all of GL_n(F_q): every kappa whose
     projection is nonzero although it lies outside the big cell."""
     mod = supported_weight_modules(n, q)[nu]
-    inv = invariant_space(mod, _upper_unipotent_gens(n, q, _block_positions(P, upper=True)))
-    K, piv = coinvariant_kernel(
-        mod, _upper_unipotent_gens(n, q, _block_positions(Q, upper=False)))
+    inv = invariant_space(mod, _radical_gens(P, q))
+    K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
     failures = []
     for kappa in gl_elements(n, q):
         nonzero = any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
