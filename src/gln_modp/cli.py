@@ -203,13 +203,16 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_satake(params, field, out):
-    # a non-integer n still raises here (ROADMAP item 5)
+    # a non-integer n still raises here; the fix is parked under ROADMAP
+    # item 1, because perfbench's injected-failure test relies on it
     n, q = int(params["n"]), _int(params["q"], "q")
     V = make_weight(_vec(params["nu"]), q)
     if V.n != n:
         raise SchemaError("nu has the wrong rank")
     lam = _vec(params["lam"])
     basis = params.get("basis", "T")
+    if basis not in ("T", "tau"):
+        raise SchemaError(f"unknown basis tag {basis!r}")
     elem = hk.basis_element(V, basis, lam, field)
     res = hk.satake_T_to_tau(elem) if basis == "T" else hk.satake_tau_to_T(elem)
     _emit(out, {
@@ -326,8 +329,8 @@ def _cmd_hecke0(params, field, out):
         _emit(out, res)
         return 0 if res["ok"] else 1
     if action == "derive":
-        cap = _int(params.get("cap", max(n * n, 20)), "cap")
-        report = h0.derive_rotation_invariance(n, cap, field)
+        cap = {"length_cap": _int(params["cap"], "cap")} if "cap" in params else {}
+        report = h0.derive_rotation_invariance(n, field=field, **cap)
         _emit(out, report.to_json())
         return 0
     raise SchemaError(f"unknown hecke0 action {action!r}")

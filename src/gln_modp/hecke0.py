@@ -517,7 +517,7 @@ class _CapSignal(Exception):
     pass
 
 
-def derive_rotation_invariance(n: int, length_cap: int,
+def derive_rotation_invariance(n: int, length_cap: int | None = None,
                                field: FqField | None = None,
                                zeta=1) -> DerivationReport:
     """Derive, in the spherical-vector module, that the translation
@@ -525,7 +525,7 @@ def derive_rotation_invariance(n: int, length_cap: int,
 
     For each i in increasing order the engine proves the idempotency
     U_i^2 v = U_i v by reducing against left translates T_w r of the current
-    relations with l(w) bounded by ``length_cap``; combined with the
+    relations with l(w) <= ``length_cap``, by default max(n^2, 20); with the
     nilpotence hypothesis (external input, never derived) this yields
     U_i v = 0.  The report carries a per-step trace and the minimal
     sufficient translate length; an exhausted cap raises
@@ -533,6 +533,7 @@ def derive_rotation_invariance(n: int, length_cap: int,
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
+    length_cap = max(n * n, 20) if length_cap is None else length_cap
     if length_cap < n * n:
         raise ValueError(f"length cap must be at least n^2 = {n * n}")
     H = Hecke0Algebra(n, field or _default_field(), zeta)

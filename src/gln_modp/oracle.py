@@ -13,8 +13,9 @@ skip only the elements that cannot.  The double-coset support gate claims
 that a projection is nonzero only on the big cell, so a kappa inside the
 big cell can never refute it: the gate scans the complement of the big cell,
 enumerated once per (n, q, Q, P), and its verdict is that of the full scan.
-Each module family is built once per (n, q), so the matrix of a group
-element on a module is computed once and shared by every gate.
+Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
+Lambda^k), built once per (n, q): the matrix of a group element on a
+construction is computed once and shared by its twists and by every gate.
 """
 
 from __future__ import annotations
@@ -259,15 +260,13 @@ def check_minuscule_satake(n: int, q: int, i: int) -> bool:
 
 @dataclass
 class TinyWeightModule:
-    """An explicit matrix model of an irreducible GL_n(F_q)-module, with its
-    integral weight grading from the construction."""
+    """An explicit matrix model of an irreducible GL_n(F_q)-module.  A
+    construction (Sym^a or Lambda^k) has b = 0; ``det_twist`` makes the rest."""
 
-    n: int
     q: int
-    nu: tuple
-    basis: tuple       # labels (exponent tuples or index subsets)
-    gradings: tuple    # integer weight of each basis element
-    b: int             # the module is twisted by det^b
+    gradings: tuple     # integer weight of each basis vector; the first
+                        # spans the highest-weight line
+    b: int              # the module is twisted by det^b
     _untwisted: object  # callable g -> row tuples of g's untwisted matrix
 
     def __post_init__(self):
@@ -275,10 +274,11 @@ class TinyWeightModule:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.gradings)
 
     def matrix(self, g):
-        """Column-convention matrix of g on the module."""
+        """Column-convention matrix of g on the module: det(g)^b times the
+        untwisted matrix."""
         M = self._cache.get(g)
         if M is None:
             M = self._untwisted(g)
@@ -290,82 +290,76 @@ class TinyWeightModule:
         return M
 
     def act(self, g, v):
-        M = self.matrix(g)
-        q = self.q
-        return tuple(sum(M[i][j] * v[j] for j in range(self.dim)) % q
-                     for i in range(self.dim))
+        return tuple(sum(x * y for x, y in zip(row, v)) % self.q for row in self.matrix(g))
 
 
-def _poly_mult(d1, d2, q):
-    out = {}
-    for m1, c1 in d1.items():
-        for m2, c2 in d2.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            out[key] = (out.get(key, 0) + c1 * c2) % q
-    return {k: v for k, v in out.items() if v}
+def det_twist(construction: TinyWeightModule, b: int) -> TinyWeightModule:
+    """The construction twisted by det^b: gradings shifted by b, cached
+    matrices scaled by det(g)^b.  The b = 0 twist is the construction."""
+    if not b:
+        return construction
+    gradings = tuple(tuple(x + b for x in w) for w in construction.gradings)
+    return TinyWeightModule(construction.q, gradings, b, construction.matrix)
 
 
-def sym_power_module(n: int, q: int, a: int, b: int = 0) -> TinyWeightModule:
-    """Sym^a of the standard module twisted by det^b; irreducible for
-    a <= q-1 at prime q.  Highest weight (a+b, b, ..., b)."""
+def sym_power_module(n: int, q: int, a: int) -> TinyWeightModule:
+    """Sym^a of the standard module, irreducible for a <= q-1 at prime q,
+    on the degree-a monomials graded by their exponents."""
     _require_prime(q)
     if not 0 <= a <= q - 1:
         raise ValueError("symmetric power outside the irreducible range")
     monos = sorted((m for m in product(range(a + 1), repeat=n) if sum(m) == a),
                    reverse=True)
-    index = {m: k for k, m in enumerate(monos)}
-    nu = tuple((a if j == 0 else 0) + b for j in range(n))
 
     def untwisted(g):
-        lin = [{tuple(1 if r == i else 0 for r in range(n)): g[i][j] % q
-                for i in range(n) if g[i][j] % q} for j in range(n)]
-        M = [[0] * len(monos) for _ in monos]
-        for k, m in enumerate(monos):
+        # column m holds the coefficients of prod_j (g e_j)^(m_j)
+        cols = []
+        for m in monos:
             acc = {(0,) * n: 1}
-            for j, e in enumerate(m):
-                for _ in range(e):
-                    acc = _poly_mult(acc, lin[j], q)
-            for mono, c in acc.items():
-                M[index[mono]][k] = c
-        return tuple(tuple(row) for row in M)
+            for j in [j for j, e in enumerate(m) for _ in range(e)]:
+                nxt = {}
+                for mono, c in acc.items():
+                    for i in range(n):
+                        key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                        nxt[key] = (nxt.get(key, 0) + c * g[i][j]) % q
+                acc = nxt
+            cols.append([acc.get(mono, 0) for mono in monos])
+        return tuple(zip(*cols))
 
-    return TinyWeightModule(n, q, nu, tuple(monos),
-                            tuple(tuple(mj + b for mj in m) for m in monos), b, untwisted)
+    return TinyWeightModule(q, tuple(monos), 0, untwisted)
 
 
-def exterior_power_module(n: int, q: int, k: int, b: int = 0) -> TinyWeightModule:
-    """The k-th exterior power of the standard module twisted by det^b
-    (minuscule, always irreducible).  Highest weight (1+b,...,1+b,b,...,b)."""
+def exterior_power_module(n: int, q: int, k: int) -> TinyWeightModule:
+    """The k-th exterior power of the standard module (minuscule, always
+    irreducible), on the k-subsets graded by their indicators."""
     _require_prime(q)
     if not 1 <= k <= n:
         raise ValueError("exterior power degree out of range")
     subsets = sorted(combinations(range(n), k))
-    nu = tuple((1 if j < k else 0) + b for j in range(n))
 
     def untwisted(g):
         # the entry at (T, S) is the minor of g on rows T and columns S
         return tuple(tuple(mat_det([[g[r][c] for c in S] for r in T], q)
                            for S in subsets) for T in subsets)
 
-    gradings = tuple(tuple((1 if j in S else 0) + b for j in range(n)) for S in subsets)
-    return TinyWeightModule(n, q, nu, tuple(subsets), gradings, b, untwisted)
+    gradings = tuple(tuple(int(j in S) for j in range(n)) for S in subsets)
+    return TinyWeightModule(q, gradings, 0, untwisted)
 
 
 @lru_cache(maxsize=_CACHED_GROUPS)
 def supported_weight_modules(n: int, q: int):
     """The supported family: all symmetric powers in the irreducible range
     and all exterior powers, twisted by determinant powers.  Returns a
-    read-only mapping from the canonical highest weight to the module; it is
-    built once per (n, q), so every gate shares each module's matrix cache."""
+    read-only mapping from the canonical highest weight to the module, built
+    once per (n, q) from q+n-2 constructions whose twists share their cache."""
     _require_prime(q)
+    constructions = ([sym_power_module(n, q, a) for a in range(q)]
+                     + [exterior_power_module(n, q, k) for k in range(2, n)])
     out = {}
     for b in range(q - 1):
-        for a in range(q):
-            mod = sym_power_module(n, q, a, b)
-            out.setdefault(make_weight(mod.nu, q).nu, mod)
-        for k in range(2, n):
-            mod = exterior_power_module(n, q, k, b)
-            out.setdefault(make_weight(mod.nu, q).nu, mod)
+        for construction in constructions:
+            mod = det_twist(construction, b)
+            out.setdefault(make_weight(mod.gradings[0], q).nu, mod)
     return MappingProxyType(out)
 
 
@@ -421,7 +415,7 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
         diag = tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
         tw = mod.act(diag, w)
         scalar = 1
-        for tj, nj in zip(t, mod.nu):
+        for tj, nj in zip(t, mod.gradings[0]):
             scalar = scalar * pow(tj, nj, q) % q
         if tw != tuple(x * scalar % q for x in w):
             return False
@@ -430,7 +424,7 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     bd = (0,) + P.boundaries + (n,)
     def block_sums(vec):
         return tuple(sum(vec[a:b]) for a, b in zip(bd, bd[1:]))
-    target = block_sums(mod.nu)
+    target = block_sums(mod.gradings[0])
     qualifying = [j for j, grading in enumerate(mod.gradings)
                   if block_sums(grading) == target]
     if len(inv) != len(qualifying):

@@ -6,6 +6,8 @@ import pathlib
 import shlex
 import time
 
+import pytest
+
 from gln_modp import cli
 from gln_modp.cli import export_lattice_dot, main, run
 from gln_modp.classify import InductionDatum, Steinberg, Supersingular, submodule_lattice
@@ -237,6 +239,20 @@ def test_verify_job_small():
     assert json.loads(text)["ok"] is True
 
 
+# sha256 of the two oracle_gates benchmark jobs' reports
+VERIFY_PINS = {
+    (3, 2): "49f7f851768a61a22cd92d88e7b7244fa3faad70180213bfec411b639d1b9601",
+    (2, 5): "7066f10dc6816c02a2798ed0f9084efe9ed878fb6047d6d32e3c2a4cc95d961e",
+}
+
+
+@pytest.mark.parametrize("max_n, max_q", sorted(VERIFY_PINS))
+def test_verify_output_is_pinned(max_n, max_q):
+    code, text = run_job({"command": "verify", "params": {"max_n": max_n, "max_q": max_q}})
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PINS[max_n, max_q]
+
+
 def assert_schema_error(code, text):
     assert code == 2
     assert json.loads(text)["error"]["kind"] == "schema"
@@ -257,6 +273,13 @@ def test_malformed_pair_list(capsys):
 def test_malformed_pair_chars_int():
     assert_schema_error(*run_job({"command": "eigen", "params": {
         "action": "supersingular", "q": 3, "pair": {"M": [2], "chars": 1}}}))
+
+
+def test_satake_unknown_basis_is_a_schema_error():
+    code, text = run_job({"command": "satake", "params": {
+        "n": 2, "q": 3, "nu": "0,0", "lam": "-2,0", "basis": "x"}})
+    assert_schema_error(code, text)
+    assert json.loads(text)["error"]["message"] == "unknown basis tag 'x'"
 
 
 def test_malformed_n_list_or_null():

@@ -238,6 +238,11 @@ def test_derivation_deterministic():
     assert a == b
 
 
+def test_derivation_default_cap():
+    for n in (2, 3, 4):
+        assert derive_rotation_invariance(n).cap == max(n * n, 20)
+
+
 def test_derivation_precondition():
     with pytest.raises(ValueError):
         derive_rotation_invariance(3, 8)  # cap below n^2

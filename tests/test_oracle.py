@@ -1,15 +1,21 @@
+from collections import Counter
+from itertools import product
+from math import prod
+
 import pytest
 
+from gln_modp import oracle
 from gln_modp.oracle import (
     _off_big_cell, _radical_gens, _reduce_mod, _support_failures,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
-    check_minuscule_satake, coinvariant_kernel, exterior_power_module,
+    check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
-    invariant_space, iwasawa_orbit_counts, subspaces,
-    supported_weight_modules, sym_power_module,
+    invariant_space, iwasawa_orbit_counts, mat_det, subspaces,
+    supported_weight_modules, sym_power_module, verify_gates,
 )
 from gln_modp.root_datum import StandardParabolic, all_parabolics
+from gln_modp.weights import make_weight
 
 B2 = StandardParabolic.torus(2)
 B3 = StandardParabolic.torus(3)
@@ -114,9 +120,9 @@ def test_minuscule_satake_gate():
 
 
 def test_sym_and_exterior_modules_are_representations():
-    for mod in (sym_power_module(2, 3, 2), sym_power_module(3, 2, 1, b=1),
-                exterior_power_module(3, 2, 2), exterior_power_module(3, 3, 2, b=1)):
-        els = gl_elements(mod.n, mod.q)[:40]
+    for mod in (sym_power_module(2, 3, 2), det_twist(sym_power_module(3, 2, 1), 1),
+                exterior_power_module(3, 2, 2), det_twist(exterior_power_module(3, 3, 2), 1)):
+        els = gl_elements(len(mod.gradings[0]), mod.q)[:40]
         for g in els[:6]:
             for h in els[5:11]:
                 gh = mat_mul(g, h, mod.q)
@@ -130,6 +136,82 @@ def test_supported_family_contents():
     fam3 = supported_weight_modules(3, 2)
     assert (1, 1, 0) in fam3 and fam3[(1, 1, 0)].dim == 3
     assert (1, 0, 0) in fam3 and fam3[(1, 0, 0)].dim == 3
+
+
+FAMILY_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
+
+
+def construction_of(mod):
+    """A fresh copy of the untwisted construction that ``mod`` twists: its
+    top grading less b is (a, 0, ..., 0) for Sym^a, or the indicator of
+    the first k coordinates for Lambda^k with k >= 2."""
+    n, q = len(mod.gradings[0]), mod.q
+    top = [x - mod.b for x in mod.gradings[0]]
+    if sum(1 for x in top if x) >= 2:
+        return exterior_power_module(n, q, sum(top))
+    return sym_power_module(n, q, top[0])
+
+
+@pytest.mark.parametrize("n, q", FAMILY_CASES)
+def test_family_top_grading_is_the_highest_weight_line(n, q):
+    # the diagonal torus acts on each basis vector by the character of its
+    # grading, and the upper unipotent invariants are the first basis
+    # vector's line, so gradings[0] is the highest weight of the module
+    torus = [tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
+             for t in product(range(1, q), repeat=n)]
+    for nu, mod in supported_weight_modules(n, q).items():
+        assert make_weight(mod.gradings[0], q).nu == nu
+        for t in torus:
+            chars = [prod(pow(t[j][j], w[j], q) for j in range(n)) % q
+                     for w in mod.gradings]
+            assert mod.matrix(t) == tuple(tuple(c if i == j else 0 for j in range(mod.dim))
+                                          for i, c in enumerate(chars))
+        e0 = tuple(int(j == 0) for j in range(mod.dim))
+        assert invariant_space(mod, _radical_gens(StandardParabolic.torus(n), q)) == (e0,)
+
+
+@pytest.mark.parametrize("n, q", FAMILY_CASES)
+def test_family_matrices_are_det_twists_of_the_constructions(n, q):
+    els = gl_elements(n, q)
+    sample = els[::max(1, len(els) // 25)]
+    for mod in supported_weight_modules(n, q).values():
+        construction = construction_of(mod)
+        assert mod.gradings == tuple(tuple(x + mod.b for x in w)
+                                     for w in construction.gradings)
+        for g in sample:
+            detb = pow(mat_det(g, q), mod.b, q)
+            assert mod.matrix(g) == tuple(tuple(x * detb % q for x in row)
+                                          for row in construction.matrix(g))
+
+
+def test_each_untwisted_matrix_is_built_once(monkeypatch):
+    # count the constructions per (n, q) and the untwisted matrices per
+    # (construction, g) while the gates run on freshly built families
+    constructions, builds = Counter(), Counter()
+
+    def counting(builder):
+        def build(n, q, degree):
+            mod = builder(n, q, degree)
+            constructions[n, q] += 1
+            untwisted = mod._untwisted
+
+            def counted(g):
+                builds[builder.__name__, n, q, degree, g] += 1
+                return untwisted(g)
+
+            mod._untwisted = counted
+            return mod
+        return build
+
+    monkeypatch.setattr(oracle, "sym_power_module", counting(sym_power_module))
+    monkeypatch.setattr(oracle, "exterior_power_module", counting(exterior_power_module))
+    supported_weight_modules.cache_clear()
+    try:
+        assert verify_gates(2, 5)["ok"]
+    finally:
+        supported_weight_modules.cache_clear()
+    assert constructions == {(2, q): q for q in (2, 3, 5)}  # q + n - 2 at n = 2
+    assert builds and max(builds.values()) == 1
 
 
 def test_supported_family_is_built_once_and_read_only():
