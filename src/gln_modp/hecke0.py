@@ -30,7 +30,11 @@ Length is the affine inversion count
     l(f) = sum over a<b of  max(0, ceil((f(a)-f(b))/n))
                           + max(0, ceil((f(b)-f(a))/n) - 1),
 
-both wrapped and unwrapped inversion families.
+both wrapped and unwrapped inversion families.  It is never recounted:
+``signed_product`` returns the defect l(x) + l(y) - l(z), the number of
+absorbed letters, so the derivation engine carries each module symbol as
+the key (length, window) with l(z) = l(x) + l(y) - defect, starting from
+closed forms (l(S_j ... S_{n-1} Pi) = n - j, l(U_i) = i(n - i)).
 """
 
 from __future__ import annotations
@@ -60,20 +64,6 @@ def _check_window(w, n: int) -> None:
         raise ValueError(
             f"{w} is not canonical (rotation degree outside [0, n-1]); "
             "shift the window by a multiple of n")
-
-
-# derive n = 5 leaves about 12k windows here at cap 25 and 20k at cap 60
-@lru_cache(maxsize=1 << 17)
-def _length(window) -> int:
-    n = len(window)
-    total = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = window[a] - window[b]
-            up = -(-d // n)        # ceil(d/n)
-            down = -(d // n)       # ceil(-d/n)
-            total += max(0, up) + max(0, down - 1)
-    return total
 
 
 def _canonicalize(window):
@@ -165,7 +155,7 @@ def _left_word(window):
 
 
 def signed_product(x: tuple, y: tuple):
-    """The 0-Hecke (Demazure) product T_x T_y = sign * zeta^wraps * T_z.
+    """The 0-Hecke (Demazure) product T_x T_y = (-1)^defect * zeta^wraps * T_z.
 
     Walks a reduced word of the left factor x = s_a1 ... s_am Pi^rot, which
     is short wherever products are hot, so T_x T_y = T_{s_a1} ... T_{s_am}
@@ -173,30 +163,30 @@ def signed_product(x: tuple, y: tuple):
     and applies the letters last-first as position swaps: s_k * w swaps
     w[k-1] and w[k], and s_0 * w = (w[n-1] - n, w[1:n-1], w[0] + n).  A letter
     is taken when the length rises, i.e. when w(k) < w(k+1) with
-    w(0) = w(n) - n, and absorbed with a sign -1 otherwise.
+    w(0) = w(n) - n, and absorbed otherwise.
 
     By associativity of the Demazure product this equals walking a word of
     y from x letter by letter (the reference in the tests): z is the same
-    element, the sign is (-1)^(l(x)+l(y)-l(z)) because each absorbed letter
-    is one length lost, and the rotation degree of z before canonicalization
-    is deg x + deg y, so wraps = floor((deg x + deg y) / n).  Returns
-    (sign, wraps, z).
+    element, each absorbed letter is one length lost, so the number of them
+    is the defect l(x) + l(y) - l(z), and the rotation degree of z before
+    canonicalization is deg x + deg y, so wraps = floor((deg x + deg y) / n).
+    Returns (defect, wraps, z).
     """
     n = len(y)
     if len(x) != n:
         raise ValueError("rank mismatch")
     letters, rot = _left_word(x)
     z = list(y[rot:] + tuple(v + n for v in y[:rot]))
-    sign = 1
+    defect = 0
     for k in letters:
         d = 0 if k else n       # for s_0, z[k - 1] is z[n-1] and w(0) = w(n) - n
         a, b = z[k - 1] - d, z[k]
         if a < b:
             z[k - 1], z[k] = b + d, a
         else:
-            sign = -sign
+            defect += 1
     win, wraps = _canonicalize(z)
-    return sign, wraps, win
+    return defect, wraps, win
 
 
 class Hecke0Element:
@@ -249,11 +239,12 @@ class Hecke0Algebra:
         self.zeta = field(zeta)
         if not self.zeta:
             raise ValueError("zeta must be invertible")
-        # sign * zeta^wraps by (sign, wraps).  For canonical x, y, signed_product
-        # starts from Pi^(deg x) y, of degree deg x + deg y in [0, 2n-2], and its
-        # letters are position swaps, which keep the window sum: wraps is 0 or 1.
-        self._scalars = {(1, 0): field.one, (-1, 0): -field.one,
-                         (1, 1): self.zeta, (-1, 1): -self.zeta}
+        # (-1)^defect * zeta^wraps by (defect & 1, wraps).  For canonical x, y,
+        # signed_product starts from Pi^(deg x) y, of degree deg x + deg y in
+        # [0, 2n-2]; its letters are position swaps, which keep the window sum,
+        # so wraps is 0 or 1.
+        self._scalars = {(0, 0): field.one, (1, 0): -field.one,
+                         (0, 1): self.zeta, (1, 1): -self.zeta}
 
     def element(self, terms) -> Hecke0Element:
         terms = dict(terms)
@@ -279,8 +270,8 @@ class Hecke0Algebra:
         out = {}
         for x, cx in a.terms.items():
             for y, cy in b.terms.items():
-                sign, wraps, z = signed_product(x, y)
-                accumulate(out, z, cx * cy * self._scalars[sign, wraps])
+                defect, wraps, z = signed_product(x, y)
+                accumulate(out, z, cx * cy * self._scalars[defect & 1, wraps])
         return Hecke0Element(self, out)
 
     def word_product(self, letters, rot: int = 0) -> Hecke0Element:
@@ -348,7 +339,7 @@ def verify_translation_power(n: int, i: int, field: FqField | None = None) -> bo
     for _ in range(i):
         acc = acc * step
     t = translation((1,) * i + (0,) * (n - i))
-    if _length(t) != i * (n - i):
+    if len(reduced_word(t)[0]) != i * (n - i):
         return False
     return acc == H.basis(t)
 
@@ -358,8 +349,9 @@ def verify_translation_power(n: int, i: int, field: FqField | None = None) -> bo
 #
 # The module is spanned by symbols T_x v for x with no finite right descent
 # (a reduced expression ending in a finite generator kills v, since each
-# finite S_k annihilates a vector fixed by the maximal compact).  On top of
-# that the engine imposes the coset-decomposition relation
+# finite S_k annihilates a vector fixed by the maximal compact); a module
+# vector is keyed by (l(x), x).  On top of that the engine imposes the
+# coset-decomposition relation
 #
 #     v  =  sum over i of  S_{i..(n-1)} Pi v
 #
@@ -426,30 +418,27 @@ def render_word(x: tuple) -> str:
 
 
 class _ModuleEngine:
-    """Sparse row reduction over the normal-form module symbols, with
-    breadth-first generation of generator translates of the relations."""
+    """Sparse row reduction over the normal-form module symbols (l(x), x),
+    with breadth-first generation of generator translates of the relations."""
 
     def __init__(self, algebra: Hecke0Algebra, cap: int):
         self.H = algebra
         self.cap = cap
-        self.rows = {}          # pivot symbol -> (row dict, depth)
+        self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # rows inserted at the current depth
         self.depth = 0
         self.gens = [simple(algebra.n, k) for k in range(algebra.n)]
         self.rots = [rotation(algebra.n, k) for k in range(1, algebra.n)]
 
-    @staticmethod
-    def _key(x: tuple):
-        return (_length(x), x)
-
     def apply(self, g: tuple, vec):
         """Left action of T_g on a module vector, projecting away symbols
-        with finite right descents."""
+        with finite right descents; l(z) = l(g) + l(y) - defect."""
         out = {}
-        for sym, c in vec.items():
-            sign, wraps, z = signed_product(g, sym)
+        lg = len(_left_word(g)[0])
+        for (ly, y), c in vec.items():
+            defect, wraps, z = signed_product(g, y)
             if not has_finite_descent(z):
-                accumulate(out, z, c * self.H._scalars[sign, wraps])
+                accumulate(out, (lg + ly - defect, z), c * self.H._scalars[defect & 1, wraps])
         return out
 
     def reduce(self, vec):
@@ -458,12 +447,12 @@ class _ModuleEngine:
 
         A row holds only symbols below its pivot, so each pop is strictly
         below the one before: the remainder's keys come out in decreasing
-        ``_key`` order, its first key the largest."""
+        order, its first key the largest."""
         work = dict(vec)
         out = {}
         used = 0
         while work:
-            key = max(work, key=self._key)
+            key = max(work)
             c = work.pop(key)
             if key in self.rows:
                 row, d = self.rows[key]
@@ -527,9 +516,12 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     U_i^2 v = U_i v by reducing against left translates T_w r of the current
     relations with l(w) <= ``length_cap``, by default max(n^2, 20); with the
     nilpotence hypothesis (external input, never derived) this yields
-    U_i v = 0.  The report carries a per-step trace and the minimal
-    sufficient translate length; an exhausted cap raises
-    DerivationCapExceeded with the inconclusive partial report attached.
+    U_i v = 0.  The report carries a per-step trace and, as
+    ``minimal_sufficient_cap``, the deepest insertion round among the rows
+    the reductions used; rows do not inherit the rounds of the rows that
+    reduced them, so it can lie below the smallest working cap (ROADMAP
+    item 1).  An exhausted cap raises DerivationCapExceeded with the
+    inconclusive partial report attached.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -541,7 +533,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     report = DerivationReport(n=n, cap=length_cap)
 
     one = H.field.one
-    v = {identity(n): one}
+    v = {(0, identity(n)): one}
 
     z_ops = {j: _operator_window(n, j) for j in range(1, n + 1)}
     for j, z in z_ops.items():
@@ -558,11 +550,12 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     def op_name(j: int) -> str:
         return "".join(f"S_{k}" for k in range(j, n)) + "Π"
 
-    # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0
+    # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0,
+    # where l(S_{j..(n-1)} Pi) = n - j
     rel = {}
     for j in range(1, n + 1):
-        accumulate(rel, z_ops[j], one)
-    accumulate(rel, identity(n), -one)
+        accumulate(rel, (n - j, z_ops[j]), one)
+    accumulate(rel, (0, identity(n)), -one)
     engine.add_relation(rel)
 
     cap_used = 0
@@ -576,9 +569,9 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
             r1u = engine.ensure_zero(idempotency_defect(u_elem))
 
             # external hypothesis: U_i nilpotent; with idempotency this kills U_i v
-            engine.add_relation({u_elem: one})
-            r2 = engine.ensure_zero({z: one})
-            engine.add_relation({z: one})
+            engine.add_relation({(i * (n - i), u_elem): one})  # l(U_i) = i(n - i)
+            r2 = engine.ensure_zero({(n - i, z): one})
+            engine.add_relation({(n - i, z): one})
 
             # trace in the shape of the step-by-step hand computation
             name = op_name(i)
@@ -586,8 +579,8 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
             line1 = f"({name})²v = {name}(v - {tail})"
             cross, all_die = [], True
             for j in range(i + 1, n + 1):
-                sign, _, prod = signed_product(z, z_ops[j])
-                cross.append(("-" if sign > 0 else "+") + f" {render_word(prod)}v")
+                defect, _, prod = signed_product(z, z_ops[j])
+                cross.append(("+" if defect & 1 else "-") + f" {render_word(prod)}v")
                 all_die = all_die and has_finite_descent(prod)
             line2 = f"= {name}v " + " ".join(cross)
             line3 = f"= {name}v" if all_die else f"= {name}v (mod earlier relations)"
@@ -603,7 +596,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
                 derived=(f"U_{i}v = 0", f"{name}v = 0"),
             ))
 
-        final = {identity(n): one}
+        final = {(0, identity(n)): one}
         for sym, c in engine.apply(rotation(n), v).items():
             accumulate(final, sym, -c)
         rf = engine.ensure_zero(final)

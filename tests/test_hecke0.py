@@ -10,14 +10,28 @@ import gln_modp.hecke0 as h0mod
 from gln_modp import cli
 from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
-    DerivationCapExceeded, Hecke0Algebra, _canonicalize, _length,
-    _operator_window, _rotation, derive_rotation_invariance,
-    has_finite_descent, identity, reduced_word, rotation, signed_product,
-    simple, translation, verify_braid_and_rotation, verify_translation_power,
+    DerivationCapExceeded, Hecke0Algebra, _canonicalize, _operator_window,
+    _rotation, derive_rotation_invariance, has_finite_descent, identity,
+    reduced_word, rotation, signed_product, simple, translation,
+    verify_braid_and_rotation, verify_translation_power,
     verify_word_shift_identity,
 )
 
 F3 = FqField(3)
+
+
+def _length(window):
+    """The affine inversion count of the module docstring: the reference the
+    carried lengths and defects are checked against."""
+    n = len(window)
+    total = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            d = window[a] - window[b]
+            up = -(-d // n)        # ceil(d/n)
+            down = -(d // n)       # ceil(-d/n)
+            total += max(0, up) + max(0, down - 1)
+    return total
 
 
 def value(x, i):
@@ -80,7 +94,9 @@ def canonical_window_pairs(draw):
 def test_products_of_canonical_windows_wrap_at_most_once(pair):
     # Hecke0Algebra's four product scalars +-1, +-zeta rely on this
     x, y = pair
-    assert signed_product(x, y)[1] in (0, 1)
+    defect, wraps, z = signed_product(x, y)
+    assert wraps in (0, 1)
+    assert defect == _length(x) + _length(y) - _length(z)
 
 
 def test_operator_windows_are_word_products():
@@ -145,14 +161,13 @@ def test_nontrivial_center_scalar():
 def test_sign_is_defect_parity():
     rng = random.Random(3)
     for n in (2, 3, 4):
+        H = Hecke0Algebra(n, F3)
         for _ in range(80):
             a, b = rand_perm(rng, n), rand_perm(rng, n)
-            sign, wraps, z = signed_product(a, b)
-            defect = _length(a) + _length(b) - _length(z)
-            assert defect >= 0
-            assert sign == (-1) ** defect
-            if defect == 0:
-                assert sign == 1
+            defect, wraps, z = signed_product(a, b)
+            assert defect == _length(a) + _length(b) - _length(z)
+            assert 0 <= defect <= len(reduced_word(a)[0])
+            assert H.basis(a) * H.basis(b) == H.element({z: (-1) ** defect})
 
 
 def test_associativity_and_unit():
@@ -208,19 +223,25 @@ def test_derivation_success():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
-    # insert takes the first key of reduce's remainder as the pivot
-    reduce, sizes = h0mod._ModuleEngine.reduce, []
+    # insert takes the first key of reduce's remainder as the pivot; every
+    # key (length, window) carries the window's true length
+    reduce, sizes, engines = h0mod._ModuleEngine.reduce, [], set()
 
     def checked(self, vec):
         rem, used = reduce(self, vec)
-        keys = [self._key(x) for x in rem]
+        keys = list(rem)
         assert all(a > b for a, b in zip(keys, keys[1:])), keys
+        assert all(l == _length(x) for l, x in keys), keys
         sizes.append(len(rem))
+        engines.add(self)
         return rem, used
 
     monkeypatch.setattr(h0mod._ModuleEngine, "reduce", checked)
     assert derive_rotation_invariance(n, max(n * n, 20)).status == "derived"
     assert max(sizes) > 1
+    (engine,) = engines
+    assert len(engine.rows) > 1
+    assert all(l == _length(x) for l, x in engine.rows)
 
 
 def test_derivation_trace_n2():
@@ -303,16 +324,16 @@ def _reference_signed_product(x, y):
     multiplying by y's rotation and removing whole turns Pi^n."""
     n = len(x)
     letters, rot = _reference_reduced_word(y)
-    z, sign = x, 1
+    z, defect = x, 0
     for k in letters:
         nxt = _times_simple(z, k)
         if _length(nxt) > _length(z):
             z = nxt
         else:
-            sign = -sign
+            defect += 1
     raw = tuple(v + rot for v in z)
     wraps = sum(raw[i] - (i + 1) for i in range(n)) // n // n
-    return sign, wraps, tuple(v - n * wraps for v in raw)
+    return defect, wraps, tuple(v - n * wraps for v in raw)
 
 
 def _long_perm(rng, n, max_len):
@@ -352,8 +373,7 @@ def test_signed_product_matches_right_word_reference():
         for _ in range(300):
             x = rng.choice(shorts) if rng.random() < 0.5 else _long_perm(rng, n, 6)
             y = _long_perm(rng, n, 15)
-            sign, wraps, z = signed_product(x, y)
-            assert (sign, wraps, z) == _reference_signed_product(x, y), (x, y)
+            assert signed_product(x, y) == _reference_signed_product(x, y), (x, y)
 
 
 @pytest.mark.parametrize("n,cap,longest", [(3, 20, 7), (4, 16, 15)])
@@ -377,8 +397,7 @@ def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest
     if len(pairs) > 1500:
         pairs = random.Random(13).sample(pairs, 1500)
     for x, y in pairs:
-        sign, wraps, z = seen[x, y]
-        assert (sign, wraps, z) == _reference_signed_product(x, y), (x, y)
+        assert seen[x, y] == _reference_signed_product(x, y), (x, y)
 
 
 def test_finite_descent_matches_length_definition():

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import product
 from math import prod
@@ -212,6 +213,17 @@ def test_each_untwisted_matrix_is_built_once(monkeypatch):
         supported_weight_modules.cache_clear()
     assert constructions == {(2, q): q for q in (2, 3, 5)}  # q + n - 2 at n = 2
     assert builds and max(builds.values()) == 1
+
+
+def test_verify_gates_stops_both_scans_at_the_size_guard(monkeypatch):
+    # q^(n^2) grows with n and q, so no pair past the first refused one is
+    # looked at: without the stops this would build q^(n^2) for a billion n
+    monkeypatch.setattr(oracle, "SIZE_GUARD", 100)
+    start = time.perf_counter()
+    report = verify_gates(10 ** 9, 10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert report == verify_gates(2, 3)
+    assert [(r["n"], r["q"]) for r in report["order"]] == [(2, 2), (2, 3)]
 
 
 def test_supported_family_is_built_once_and_read_only():
