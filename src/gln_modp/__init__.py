@@ -32,10 +32,9 @@ from .classify import (
     param_pair, submodule_lattice, validate,
 )
 from .hecke0 import (
-    DerivationCapExceeded, DerivationReport, Hecke0Algebra, Hecke0Element,
-    derive_rotation_invariance, identity, rotation, simple, translation,
-    verify_braid_and_rotation, verify_translation_power,
-    verify_word_shift_identity,
+    DerivationCapExceeded, DerivationReport, derive_rotation_invariance,
+    identity, rotation, simple, translation, verify_braid_and_rotation,
+    verify_translation_power, verify_word_shift_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -319,10 +319,10 @@ def _cmd_hecke0(params, field, out):
     n = _int(params["n"], "n")
     if action == "verify":
         res = {
-            "braid_and_rotation": h0.verify_braid_and_rotation(n, field),
-            "word_shift": h0.verify_word_shift_identity(n, field),
+            "braid_and_rotation": h0.verify_braid_and_rotation(n),
+            "word_shift": h0.verify_word_shift_identity(n),
             "translation_powers": {
-                str(i): h0.verify_translation_power(n, i, field) for i in range(1, n)},
+                str(i): h0.verify_translation_power(n, i) for i in range(1, n)},
         }
         res["ok"] = (res["braid_and_rotation"] and res["word_shift"]
                      and all(res["translation_powers"].values()))

@@ -41,9 +41,6 @@ class SmoothCharacter:
         return SmoothCharacter(self.unramified * other.unramified,
                                self.tame_exponent + other.tame_exponent, self.q)
 
-    def inverse(self) -> "SmoothCharacter":
-        return SmoothCharacter(self.unramified.inverse(), -self.tame_exponent, self.q)
-
     def power(self, k: int) -> "SmoothCharacter":
         return SmoothCharacter(self.unramified ** k, k * self.tame_exponent, self.q)
 

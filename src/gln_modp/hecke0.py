@@ -4,13 +4,11 @@ Elements of the extended affine symmetric group are held in window notation:
 an integer tuple (f(1), ..., f(n)) with pairwise distinct residues mod n,
 extended by f(i+n) = f(i) + n.  The rotation generator Pi has window
 (2, 3, ..., n+1); the translation by a coweight lam has window (i + n*lam_i).
-The group is taken modulo the central element Pi^n, whose image in the
-algebra is a configurable scalar zeta (default 1, the value forced on a
-vector with trivial central character); multiplications count how often
-they wrap through Pi^n so the scalar can be applied.  An element is its
-window itself, the representative whose rotation degree sum(f(i) - i)/n
-lies in [0, n-1]; windows from outside the library are checked where they
-enter, at ``Hecke0Algebra.element`` and ``Hecke0Algebra.basis``.
+The group is taken modulo the central element Pi^n, which acts as 1: the
+derivation's module has trivial central character, and a nontrivial
+central value would make it collapse.  An element is its window itself, the
+representative whose rotation degree sum(f(i) - i)/n lies in [0, n-1], as
+``identity``, ``simple``, ``rotation`` and ``translation`` build it.
 
 The group product is composition in diagram order: (x*y) applies x first.
 With this convention the defining relations hold literally:
@@ -23,7 +21,10 @@ T_w T_{w'} = (-1)^(l(w)+l(w')-l(w*w')) T_{w*w'}, where * is the Demazure
 (absorbing) product.  It is computed letter by letter over a reduced word of
 the left factor w, which in the derivation engine is a generator or a
 rotation (length at most 4 for n <= 5) while the right factor is long; see
-``signed_product``.
+``signed_product``.  Every identity the program checks compares two
+products of basis elements, each of which is +-T_w over the integers, so
+``_chain`` returns the pair (defect parity, window): equal pairs mean
+equality over Z, and hence over every F_q, F_2 included.
 
 Length is the affine inversion count
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 
-from .finite_field import FqElem, FqField, accumulate
+from .finite_field import FqField, accumulate
 
 
 def _rotation(window) -> int:
@@ -52,26 +53,12 @@ def _rotation(window) -> int:
     return (sum(window) - n * (n + 1) // 2) // n
 
 
-def _check_window(w, n: int) -> None:
-    """Reject a window from outside the library that is not a canonical
-    element of rank n.  Distinct residues make sum(w) = sum(1..n) mod n, so
-    the rotation degree is always an integer."""
-    if len(w) != n:
-        raise ValueError(f"{w} has rank {len(w)}, expected {n}")
-    if len({v % n for v in w}) != n:
-        raise ValueError(f"{w} is not a valid window (residues must be distinct)")
-    if not 0 <= _rotation(w) <= n - 1:
-        raise ValueError(
-            f"{w} is not canonical (rotation degree outside [0, n-1]); "
-            "shift the window by a multiple of n")
-
-
 def _canonicalize(window):
-    """Normalize the rotation degree into [0, n-1]; return (window, wraps)
-    where wraps counts the removed central factors Pi^n."""
+    """Normalize the rotation degree into [0, n-1] by removing whole
+    central factors Pi^n = 1."""
     n = len(window)
-    wraps = _rotation(window) // n  # floor division: canonical degree lands in [0, n-1]
-    return tuple(v - n * wraps for v in window), wraps
+    turns = _rotation(window) // n  # floor division: canonical degree lands in [0, n-1]
+    return tuple(v - n * turns for v in window)
 
 
 def identity(n: int) -> tuple:
@@ -92,14 +79,14 @@ def simple(n: int, k: int) -> tuple:
 
 def rotation(n: int, k: int = 1) -> tuple:
     """Pi^k: the window (1+k, 2+k, ..., n+k), canonicalized."""
-    return _canonicalize(tuple(i + k for i in range(1, n + 1)))[0]
+    return _canonicalize(tuple(i + k for i in range(1, n + 1)))
 
 
 def translation(lam) -> tuple:
     """The translation element of a coweight: f(i) = i + n*lam_i (canonical
     representative mod the center)."""
     n = len(lam)
-    return _canonicalize(tuple(i + 1 + n * lam[i] for i in range(n)))[0]
+    return _canonicalize(tuple(i + 1 + n * lam[i] for i in range(n)))
 
 
 def _operator_window(n: int, j: int) -> tuple:
@@ -155,7 +142,7 @@ def _left_word(window):
 
 
 def signed_product(x: tuple, y: tuple):
-    """The 0-Hecke (Demazure) product T_x T_y = (-1)^defect * zeta^wraps * T_z.
+    """The 0-Hecke (Demazure) product T_x T_y = (-1)^defect * T_z.
 
     Walks a reduced word of the left factor x = s_a1 ... s_am Pi^rot, which
     is short wherever products are hot, so T_x T_y = T_{s_a1} ... T_{s_am}
@@ -168,9 +155,9 @@ def signed_product(x: tuple, y: tuple):
     By associativity of the Demazure product this equals walking a word of
     y from x letter by letter (the reference in the tests): z is the same
     element, each absorbed letter is one length lost, so the number of them
-    is the defect l(x) + l(y) - l(z), and the rotation degree of z before
-    canonicalization is deg x + deg y, so wraps = floor((deg x + deg y) / n).
-    Returns (defect, wraps, z).
+    is the defect l(x) + l(y) - l(z).  The window reached has rotation degree
+    deg x + deg y; canonicalizing it removes a whole turn Pi^n = 1 when that
+    is n or more.  Returns (defect, z).
     """
     n = len(y)
     if len(x) != n:
@@ -185,163 +172,71 @@ def signed_product(x: tuple, y: tuple):
             z[k - 1], z[k] = b + d, a
         else:
             defect += 1
-    win, wraps = _canonicalize(z)
-    return defect, wraps, win
+    return defect, _canonicalize(z)
 
 
-class Hecke0Element:
-    """A finite formal sum of basis elements T_w with scalar coefficients."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "Hecke0Algebra", terms):
-        clean = {}
-        for w, c in dict(terms).items():
-            c = algebra.field(c)
-            if c:
-                clean[w] = c
-        self.algebra = algebra
-        self.terms = clean
-
-    def __eq__(self, other):
-        return (isinstance(other, Hecke0Element) and self.algebra is other.algebra
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            accumulate(out, w, c)
-        return Hecke0Element(self.algebra, out)
-
-    def __neg__(self):
-        return Hecke0Element(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return self.algebra.multiply(self, other)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*T{w}" for w, c in sorted(self.terms.items()))
+def _chain(*windows):
+    """The product T_w1 T_w2 ... T_wk of basis elements over Z, as (defect
+    parity, window): it is (-1)^parity T_window.  It multiplies from the
+    right, so each product's left factor is one of the given windows."""
+    defect, z = 0, windows[-1]
+    for w in reversed(windows[:-1]):
+        d, z = signed_product(w, z)
+        defect += d
+    return defect & 1, z
 
 
-class Hecke0Algebra:
-    """Context object holding the rank, scalar field, and central value."""
-
-    def __init__(self, n: int, field: FqField, zeta: FqElem | int = 1):
-        if n < 2:
-            raise ValueError("rank must be at least 2")
-        self.n = n
-        self.field = field
-        self.zeta = field(zeta)
-        if not self.zeta:
-            raise ValueError("zeta must be invertible")
-        # (-1)^defect * zeta^wraps by (defect & 1, wraps).  For canonical x, y,
-        # signed_product starts from Pi^(deg x) y, of degree deg x + deg y in
-        # [0, 2n-2]; its letters are position swaps, which keep the window sum,
-        # so wraps is 0 or 1.
-        self._scalars = {(0, 0): field.one, (1, 0): -field.one,
-                         (0, 1): self.zeta, (1, 1): -self.zeta}
-
-    def element(self, terms) -> Hecke0Element:
-        terms = dict(terms)
-        for w in terms:
-            _check_window(w, self.n)
-        return Hecke0Element(self, terms)
-
-    def basis(self, w: tuple) -> Hecke0Element:
-        _check_window(w, self.n)
-        return Hecke0Element(self, {w: self.field.one})
-
-    @property
-    def one(self) -> Hecke0Element:
-        return self.basis(identity(self.n))
-
-    def S(self, k: int) -> Hecke0Element:
-        return self.basis(simple(self.n, k))
-
-    def Pi(self, k: int = 1) -> Hecke0Element:
-        return self.basis(rotation(self.n, k))
-
-    def multiply(self, a: Hecke0Element, b: Hecke0Element) -> Hecke0Element:
-        out = {}
-        for x, cx in a.terms.items():
-            for y, cy in b.terms.items():
-                defect, wraps, z = signed_product(x, y)
-                accumulate(out, z, cx * cy * self._scalars[defect & 1, wraps])
-        return Hecke0Element(self, out)
-
-    def word_product(self, letters, rot: int = 0) -> Hecke0Element:
-        """Product of T_{s_k} over the letters, then rot factors of T_Pi."""
-        acc = self.one
-        for k in letters:
-            acc = acc * self.S(k)
-        for _ in range(rot):
-            acc = acc * self.Pi()
-        return acc
-
-    def srange(self, a: int, b: int) -> Hecke0Element:
-        """S_a S_{a+1} ... S_b (identity when a > b)."""
-        return self.word_product(list(range(a, b + 1)))
+def _require_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError("rank must be at least 2")
 
 
-def _default_field() -> FqField:
-    # odd characteristic keeps the signs faithful in tests
-    return FqField(3)
-
-
-def verify_braid_and_rotation(n: int, field: FqField | None = None) -> bool:
-    """Check the quadratic, commuting, braid, and rotation relations, and
-    centrality of Pi^n, via signed Demazure products."""
-    H = Hecke0Algebra(n, field or _default_field())
+def verify_braid_and_rotation(n: int) -> bool:
+    """Check the quadratic, commuting, braid, and rotation relations,
+    Pi^n = 1 and its centrality, via signed Demazure products."""
+    _require_rank(n)
+    S, pi = [simple(n, k) for k in range(n)], rotation(n)
     ok = True
     for i in range(1, n):
-        ok &= H.S(i) * H.S(i) == -H.S(i)
+        ok &= _chain(S[i], S[i]) == (1, S[i])
         for j in range(1, n):
             if abs(i - j) > 1:
-                ok &= H.S(i) * H.S(j) == H.S(j) * H.S(i)
+                ok &= _chain(S[i], S[j]) == _chain(S[j], S[i])
     for k in range(1, n - 1):
-        ok &= H.S(k) * H.S(k + 1) * H.S(k) == H.S(k + 1) * H.S(k) * H.S(k + 1)
-        ok &= H.S(k) * H.Pi() == H.Pi() * H.S(k + 1)
-    pin = H.word_product([], n)
-    ok &= pin == H.element({identity(n): H.zeta})
+        ok &= _chain(S[k], S[k + 1], S[k]) == _chain(S[k + 1], S[k], S[k + 1])
+        ok &= _chain(S[k], pi) == _chain(pi, S[k + 1])
+    pin = (pi,) * n
+    ok &= _chain(*pin) == (0, identity(n))
     for i in range(1, n):
-        ok &= pin * H.S(i) == H.S(i) * pin
+        ok &= _chain(*pin, S[i]) == _chain(S[i], *pin)
     return bool(ok)
 
 
-def verify_word_shift_identity(n: int, field: FqField | None = None) -> bool:
+def verify_word_shift_identity(n: int) -> bool:
     """Check S_{i..j} S_{k..(l-1)} = S_{(k+1)..l} S_{i..j} for all
     1 <= i <= k <= l <= j <= n-1 (the middle factor is empty when l = k)."""
-    H = Hecke0Algebra(n, field or _default_field())
+    _require_rank(n)
+    S = [simple(n, k) for k in range(n)]
     for i in range(1, n):
         for k in range(i, n):
             for l in range(k, n):
                 for j in range(l, n):
-                    lhs = H.srange(i, j) * H.srange(k, l - 1)
-                    rhs = H.srange(k + 1, l) * H.srange(i, j)
-                    if lhs != rhs:
+                    if _chain(*S[i:j + 1], *S[k:l]) != _chain(*S[k + 1:l + 1], *S[i:j + 1]):
                         return False
     return True
 
 
-def verify_translation_power(n: int, i: int, field: FqField | None = None) -> bool:
+def verify_translation_power(n: int, i: int) -> bool:
     """Check that (S_{i..(n-1)} Pi)^i is the single unsigned basis element of
     the translation by (1,...,1,0,...,0) (i ones), of length i*(n-i)."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"index {i} out of range")
-    H = Hecke0Algebra(n, field or _default_field())
-    step = H.srange(i, n - 1) * H.Pi()
-    acc = H.one
-    for _ in range(i):
-        acc = acc * step
+    _require_rank(n)
+    step = [simple(n, k) for k in range(i, n)] + [rotation(n)]
     t = translation((1,) * i + (0,) * (n - i))
     if len(reduced_word(t)[0]) != i * (n - i):
         return False
-    return acc == H.basis(t)
+    return _chain(*step * i) == (0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +316,13 @@ class _ModuleEngine:
     """Sparse row reduction over the normal-form module symbols (l(x), x),
     with breadth-first generation of generator translates of the relations."""
 
-    def __init__(self, algebra: Hecke0Algebra, cap: int):
-        self.H = algebra
+    def __init__(self, n: int, cap: int):
         self.cap = cap
         self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # rows inserted at the current depth
         self.depth = 0
-        self.gens = [simple(algebra.n, k) for k in range(algebra.n)]
-        self.rots = [rotation(algebra.n, k) for k in range(1, algebra.n)]
+        self.gens = [simple(n, k) for k in range(n)]
+        self.rots = [rotation(n, k) for k in range(1, n)]
 
     def apply(self, g: tuple, vec):
         """Left action of T_g on a module vector, projecting away symbols
@@ -436,9 +330,9 @@ class _ModuleEngine:
         out = {}
         lg = len(_left_word(g)[0])
         for (ly, y), c in vec.items():
-            defect, wraps, z = signed_product(g, y)
+            defect, z = signed_product(g, y)
             if not has_finite_descent(z):
-                accumulate(out, (lg + ly - defect, z), c * self.H._scalars[defect & 1, wraps])
+                accumulate(out, (lg + ly - defect, z), -c if defect & 1 else c)
         return out
 
     def reduce(self, vec):
@@ -507,8 +401,7 @@ class _CapSignal(Exception):
 
 
 def derive_rotation_invariance(n: int, length_cap: int | None = None,
-                               field: FqField | None = None,
-                               zeta=1) -> DerivationReport:
+                               field: FqField | None = None) -> DerivationReport:
     """Derive, in the spherical-vector module, that the translation
     operators U_i all kill the vector and hence that v = Pi v.
 
@@ -523,16 +416,14 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     item 1).  An exhausted cap raises DerivationCapExceeded with the
     inconclusive partial report attached.
     """
-    if n < 2:
-        raise ValueError("rank must be at least 2")
+    _require_rank(n)
     length_cap = max(n * n, 20) if length_cap is None else length_cap
     if length_cap < n * n:
         raise ValueError(f"length cap must be at least n^2 = {n * n}")
-    H = Hecke0Algebra(n, field or _default_field(), zeta)
-    engine = _ModuleEngine(H, length_cap)
+    engine = _ModuleEngine(n, length_cap)
     report = DerivationReport(n=n, cap=length_cap)
 
-    one = H.field.one
+    one = (field or FqField(3)).one  # odd characteristic keeps the signs visible
     v = {(0, identity(n)): one}
 
     z_ops = {j: _operator_window(n, j) for j in range(1, n + 1)}
@@ -579,7 +470,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
             line1 = f"({name})²v = {name}(v - {tail})"
             cross, all_die = [], True
             for j in range(i + 1, n + 1):
-                defect, _, prod = signed_product(z, z_ops[j])
+                defect, prod = signed_product(z, z_ops[j])
                 cross.append(("+" if defect & 1 else "-") + f" {render_word(prod)}v")
                 all_die = all_die and has_finite_descent(prod)
             line2 = f"= {name}v " + " ".join(cross)

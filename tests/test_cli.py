@@ -212,6 +212,26 @@ def test_hecke0_jobs():
     assert rep["status"] == "derived" and rep["conclusion"] == "v = Πv"
 
 
+def test_hecke0_verify_ignores_the_field():
+    # the identities are compared over the integers, so every field agrees
+    for field in ({"p": 2}, {"p": 3, "m": 2}):
+        for n in range(2, 6):
+            code, text = run_job({"command": "hecke0", "scalar_field": field,
+                                  "params": {"action": "verify", "n": n}})
+            data = json.loads(text)
+            assert code == 0 and data["ok"] is True
+            assert data["braid_and_rotation"] and data["word_shift"]
+            assert all(data["translation_powers"].values())
+
+
+def test_hecke0_verify_below_rank_2_is_a_domain_error():
+    for n in (1, 0, -2):
+        code, text = run_job({"command": "hecke0", "params": {"action": "verify", "n": n}})
+        assert code == 1
+        assert json.loads(text)["error"] == {"kind": "domain",
+                                             "message": "rank must be at least 2"}
+
+
 def test_error_paths():
     code, text = run_job({"command": "nope"})
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"

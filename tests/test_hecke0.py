@@ -8,16 +8,12 @@ from hypothesis import given, strategies as st
 
 import gln_modp.hecke0 as h0mod
 from gln_modp import cli
-from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
-    DerivationCapExceeded, Hecke0Algebra, _canonicalize, _operator_window,
-    _rotation, derive_rotation_invariance, has_finite_descent, identity,
-    reduced_word, rotation, signed_product, simple, translation,
-    verify_braid_and_rotation, verify_translation_power,
-    verify_word_shift_identity,
+    DerivationCapExceeded, _canonicalize, _chain, _operator_window, _rotation,
+    derive_rotation_invariance, has_finite_descent, identity, reduced_word,
+    rotation, signed_product, simple, translation, verify_braid_and_rotation,
+    verify_translation_power, verify_word_shift_identity,
 )
-
-F3 = FqField(3)
 
 
 def _length(window):
@@ -42,7 +38,7 @@ def value(x, i):
 
 
 def group_mul(x, y):
-    """Product in diagram order (x first): returns (result, wraps)."""
+    """Product in diagram order (x first), modulo Pi^n."""
     assert len(x) == len(y)
     return _canonicalize(tuple(value(y, value(x, i)) for i in range(1, len(x) + 1)))
 
@@ -50,23 +46,10 @@ def group_mul(x, y):
 def rand_perm(rng, n):
     x = identity(n)
     for _ in range(rng.randint(0, 6)):
-        x, _ = group_mul(x, simple(n, rng.randrange(n)))
+        x = group_mul(x, simple(n, rng.randrange(n)))
     if rng.random() < 0.5:
-        x, _ = group_mul(x, rotation(n, rng.randint(1, n - 1)))
+        x = group_mul(x, rotation(n, rng.randint(1, n - 1)))
     return x
-
-
-def test_window_validation():
-    H = Hecke0Algebra(2, F3)
-    for window in ((1, 3),      # residues collide
-                   (3, 4),      # rotation degree 2, outside [0, 1]
-                   (1, 2, 3)):  # wrong rank
-        with pytest.raises(ValueError):
-            H.basis(window)
-        with pytest.raises(ValueError):
-            H.element({window: 1})
-    assert _rotation((3, 2)) == 1
-    assert H.basis((3, 2)) == H.element({(3, 2): 1})
 
 
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
@@ -85,17 +68,16 @@ def canonical_window_pairs(draw):
     def window():
         residues = draw(st.permutations(range(1, n + 1)))
         shifts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        return _canonicalize(tuple(r + n * s for r, s in zip(residues, shifts)))[0]
+        return _canonicalize(tuple(r + n * s for r, s in zip(residues, shifts)))
 
     return window(), window()
 
 
 @given(canonical_window_pairs())
-def test_products_of_canonical_windows_wrap_at_most_once(pair):
-    # Hecke0Algebra's four product scalars +-1, +-zeta rely on this
+def test_defect_of_canonical_window_products(pair):
     x, y = pair
-    defect, wraps, z = signed_product(x, y)
-    assert wraps in (0, 1)
+    defect, z = signed_product(x, y)
+    assert _rotation(z) in range(len(x))
     assert defect == _length(x) + _length(y) - _length(z)
 
 
@@ -104,9 +86,9 @@ def test_operator_windows_are_word_products():
         for j in range(1, n + 1):
             x = identity(n)
             for k in range(j, n):
-                x, _ = group_mul(x, simple(n, k))
-            x, wraps = group_mul(x, rotation(n))
-            assert (x, wraps) == (_operator_window(n, j), 0)
+                x = group_mul(x, simple(n, k))
+            x = group_mul(x, rotation(n))
+            assert x == _operator_window(n, j)
             assert not has_finite_descent(x)
 
 
@@ -133,76 +115,89 @@ def test_relations():
             assert verify_translation_power(n, i)
 
 
-def test_relations_char2():
-    # the identities are characteristic independent
-    F2 = FqField(2)
-    assert verify_braid_and_rotation(3, F2)
-    assert verify_word_shift_identity(4, F2)
+def test_relations_char2(monkeypatch):
+    # the identities are checked over Z: S_i S_i = +S_i, a sign error that a
+    # check over F_2 would miss, fails the relations
+    def unsigned_square(x, y):
+        defect, z = signed_product(x, y)
+        return (0, z) if x == y else (defect, z)
+
+    assert verify_braid_and_rotation(3)
+    monkeypatch.setattr(h0mod, "signed_product", unsigned_square)
+    assert not verify_braid_and_rotation(3)
 
 
 def test_quadratic_contraction():
-    H = Hecke0Algebra(2, F3)
-    assert H.S(1) * H.S(1) == -H.S(1)
-    acc = H.one
-    for _ in range(2):
-        acc = acc * H.Pi()
-    assert acc == H.one  # Pi^n = 1 at the default central value
+    for n in (2, 3, 4, 5):
+        for k in range(n):
+            s = simple(n, k)
+            assert signed_product(s, s) == (1, s)
+            assert _chain(s, s, s) == (0, s)
 
 
-def test_nontrivial_center_scalar():
-    F5 = FqField(5)
-    H = Hecke0Algebra(3, F5, zeta=2)
-    acc = H.one
-    for _ in range(3):
-        acc = acc * H.Pi()
-    assert acc == H.element({identity(3): F5(2)})
+def test_rotation_power_is_one_and_central():
+    for n in (2, 3, 4, 5):
+        pin = (rotation(n),) * n
+        assert _chain(*pin) == (0, identity(n))
+        for k in range(n):
+            assert _chain(*pin, simple(n, k)) == _chain(simple(n, k), *pin) == (0, simple(n, k))
+        for k in range(1, n):
+            assert signed_product(rotation(n, k), rotation(n, n - k)) == (0, identity(n))
 
 
 def test_sign_is_defect_parity():
+    # T_a is the product of the generators of a reduced word of a, unsigned;
+    # multiplying T_b by them one at a time loses the same letters
     rng = random.Random(3)
     for n in (2, 3, 4):
-        H = Hecke0Algebra(n, F3)
         for _ in range(80):
             a, b = rand_perm(rng, n), rand_perm(rng, n)
-            defect, wraps, z = signed_product(a, b)
+            defect, z = signed_product(a, b)
             assert defect == _length(a) + _length(b) - _length(z)
-            assert 0 <= defect <= len(reduced_word(a)[0])
-            assert H.basis(a) * H.basis(b) == H.element({z: (-1) ** defect})
+            letters, rot = reduced_word(a)
+            assert 0 <= defect <= len(letters)
+            word = [simple(n, k) for k in letters] + [rotation(n)] * rot
+            assert _chain(identity(n), *word) == (0, a)
+            assert _chain(*word, b) == (defect & 1, z)
 
 
 def test_associativity_and_unit():
+    # d(a, b) + d(ab, c) = d(b, c) + d(a, bc), both with the window abc
     rng = random.Random(4)
     for n in (2, 3, 4):
-        H = Hecke0Algebra(n, F3)
         for _ in range(40):
-            a, b, c = (H.basis(rand_perm(rng, n)) for _ in range(3))
-            assert (a * b) * c == a * (b * c)
-            assert a * H.one == a and H.one * a == a
+            a, b, c = (rand_perm(rng, n) for _ in range(3))
+            d_ab, ab = signed_product(a, b)
+            d_ab_c, left = signed_product(ab, c)
+            d_bc, bc = signed_product(b, c)
+            d_a_bc, right = signed_product(a, bc)
+            assert (d_ab + d_ab_c, left) == (d_bc + d_a_bc, right)
+            assert signed_product(a, identity(n)) == signed_product(identity(n), a) == (0, a)
 
 
 def test_rotation_conjugates_generators():
     for n in (2, 3, 4, 5):
-        H = Hecke0Algebra(n, F3)
+        pi = rotation(n)
         for k in range(n):
-            assert H.Pi() * H.basis(simple(n, k)) == H.basis(simple(n, (k - 1) % n)) * H.Pi()
+            assert signed_product(pi, simple(n, k)) == signed_product(simple(n, (k - 1) % n), pi)
+            assert signed_product(pi, simple(n, k))[0] == 0
 
 
 def test_reduced_word_spells_the_element():
     rng = random.Random(5)
     for n in (2, 3, 4):
-        H = Hecke0Algebra(n, F3)
         for _ in range(30):
             x = rand_perm(rng, n)
             letters, rot = reduced_word(x)
             assert len(letters) == _length(x)
-            assert H.word_product(letters, rot) == H.basis(x)
+            word = [simple(n, k) for k in letters] + [rotation(n)] * rot
+            assert _chain(identity(n), *word) == (0, x)
 
 
 def test_translation_power_example():
     # (S_2 Pi)^2 is the translation by (1,1,0), of length 2, with sign +1
-    H = Hecke0Algebra(3, F3)
-    e = H.S(2) * H.Pi()
-    assert e * e == H.basis(translation((1, 1, 0)))
+    s2, pi = simple(3, 2), rotation(3)
+    assert _chain(s2, pi, s2, pi) == (0, translation((1, 1, 0)))
 
 
 def test_finite_descent_detection():
@@ -269,15 +264,6 @@ def test_derivation_precondition():
         derive_rotation_invariance(3, 8)  # cap below n^2
 
 
-def test_derivation_with_nontrivial_center_collapses():
-    # with zeta != 1 the relations force (zeta - 1) v = 0, so the quotient
-    # module vanishes and the conclusion holds vacuously; the engine's
-    # certificate is still sound
-    F5 = FqField(5)
-    rep = derive_rotation_invariance(2, 6, F5, zeta=2)
-    assert rep.status == "derived"
-
-
 def test_cap_exceeded_reports_inconclusive(monkeypatch):
     import gln_modp.hecke0 as h0mod
 
@@ -321,7 +307,7 @@ def _reference_reduced_word(x):
 
 def _reference_signed_product(x, y):
     """T_x T_y by walking a reduced word of the right factor y from x, then
-    multiplying by y's rotation and removing whole turns Pi^n."""
+    multiplying by y's rotation and removing whole turns Pi^n = 1."""
     n = len(x)
     letters, rot = _reference_reduced_word(y)
     z, defect = x, 0
@@ -332,8 +318,8 @@ def _reference_signed_product(x, y):
         else:
             defect += 1
     raw = tuple(v + rot for v in z)
-    wraps = sum(raw[i] - (i + 1) for i in range(n)) // n // n
-    return defect, wraps, tuple(v - n * wraps for v in raw)
+    turns = sum(raw[i] - (i + 1) for i in range(n)) // n // n
+    return defect, tuple(v - n * turns for v in raw)
 
 
 def _long_perm(rng, n, max_len):
@@ -341,11 +327,10 @@ def _long_perm(rng, n, max_len):
     and a random rotation."""
     x = identity(n)
     for _ in range(rng.randint(0, 3 * max_len)):
-        nxt, _ = group_mul(x, simple(n, rng.randrange(n)))
+        nxt = group_mul(x, simple(n, rng.randrange(n)))
         if _length(nxt) <= max_len:
             x = nxt
-    x, _ = group_mul(x, rotation(n, rng.randrange(n)))
-    return x
+    return group_mul(x, rotation(n, rng.randrange(n)))
 
 
 def _short_factors(n):

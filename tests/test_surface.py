@@ -1,7 +1,8 @@
 """The program carries no test-only code: every module-level function and
-class is used by the program, and every name in ``gln_modp.__all__`` that is
+class is used by the program, every name in ``gln_modp.__all__`` that is
 not a module is used by another module of the program, or is imported by the
-acceptance suite."""
+acceptance suite, and every public method or property of a class is read as
+an attribute by the program or by the acceptance suite."""
 
 import ast
 import pathlib
@@ -13,25 +14,36 @@ SRC = pathlib.Path(gln_modp.__file__).parent
 ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
 
 
-def used_by_program():
-    """Names read as a Name or an Attribute in a module other than
-    ``__init__.py``, outside the definition of that same name."""
-    used = set()
+def names_read(paths):
+    """(names read as a Name, names read as an Attribute) in these files,
+    each outside the definition of that same name."""
+    names, attrs = set(), set()
 
     def visit(node, own):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             own = own | {node.name}
         if isinstance(node, ast.Name) and node.id not in own:
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in own:
-            used.add(node.attr)
+            attrs.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
-    for path in SRC.glob("*.py"):
-        if path.name != "__init__.py":
-            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
-    return used
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return names, attrs
+
+
+def program_files():
+    """Every module of the program but ``__init__.py``."""
+    return [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def used_by_program():
+    """Names read as a Name or an Attribute by the program, outside the
+    definition of that same name."""
+    names, attrs = names_read(program_files())
+    return names | attrs
 
 
 def imported_by_acceptance():
@@ -82,3 +94,20 @@ def unused_module_level_definitions():
 
 def test_every_module_level_definition_is_used_by_the_program():
     assert unused_module_level_definitions() == []
+
+
+def unread_public_methods():
+    """``Class.name`` for every public method or property of a module-level
+    class that neither the program nor the acceptance suite reads as an
+    attribute outside the definition of that name."""
+    read = names_read(program_files())[1] | names_read([ACCEPTANCE])[1]
+    return [f"{cls.name}.{stmt.name}" for path in sorted(SRC.glob("*.py"))
+            for cls in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_") and stmt.name not in read]
+
+
+def test_every_public_method_is_read_by_the_program_or_an_acceptance_criterion():
+    assert unread_public_methods() == []
