@@ -24,7 +24,8 @@ rotation (length at most 4 for n <= 5) while the right factor is long; see
 ``signed_product``.  Every identity the program checks compares two
 products of basis elements, each of which is +-T_w over the integers, so
 ``_chain`` returns the pair (defect parity, window): equal pairs mean
-equality over Z, and hence over every F_q, F_2 included.
+equality over Z, and hence over every F_q, F_2 included.  The derivation
+engine's relations have coefficients +-1, so it computes with ints mod p.
 
 Length is the affine inversion count
 
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
+from itertools import islice
 
-from .finite_field import FqField, accumulate
+from .finite_field import FqField
 
 
 def _rotation(window) -> int:
@@ -191,6 +193,10 @@ def _require_rank(n: int) -> None:
         raise ValueError("rank must be at least 2")
 
 
+# the largest rank measured to derive (n = 5 at cap 30, seconds in process)
+_DERIVE_MAX_RANK = 5
+
+
 def verify_braid_and_rotation(n: int) -> bool:
     """Check the quadratic, commuting, braid, and rotation relations,
     Pi^n = 1 and its centrality, via signed Demazure products."""
@@ -312,27 +318,47 @@ def render_word(x: tuple) -> str:
     return body or "1"
 
 
+def _accumulate(terms: dict, key, c: int, p: int) -> None:
+    """terms[key] += c mod p (c nonzero mod p), dropping the entry when it cancels."""
+    total = (terms.get(key, 0) + c) % p
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]
+
+
 class _ModuleEngine:
     """Sparse row reduction over the normal-form module symbols (l(x), x),
-    with breadth-first generation of generator translates of the relations."""
+    with breadth-first generation of generator translates of the relations.
 
-    def __init__(self, n: int, cap: int):
+    Coefficients are ints in [1, p-1].  Each (g, symbol) product is formed
+    once per engine: ``products[g][symbol]`` holds its key and defect parity,
+    or None when it has a finite right descent."""
+
+    def __init__(self, n: int, cap: int, p: int):
         self.cap = cap
+        self.p = p
         self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # rows inserted at the current depth
         self.depth = 0
+        self.products = {}      # g -> {key: (key of T_g key, defect parity) or None}
         self.gens = [simple(n, k) for k in range(n)]
         self.rots = [rotation(n, k) for k in range(1, n)]
 
     def apply(self, g: tuple, vec):
         """Left action of T_g on a module vector, projecting away symbols
         with finite right descents; l(z) = l(g) + l(y) - defect."""
-        out = {}
+        out, p = {}, self.p
+        products = self.products.setdefault(g, {})
         lg = len(_left_word(g)[0])
-        for (ly, y), c in vec.items():
-            defect, z = signed_product(g, y)
-            if not has_finite_descent(z):
-                accumulate(out, (lg + ly - defect, z), -c if defect & 1 else c)
+        for key, c in vec.items():
+            hit = products.get(key, False)     # False: not formed yet
+            if hit is False:
+                defect, z = signed_product(g, key[1])
+                hit = None if has_finite_descent(z) else ((lg + key[0] - defect, z), defect & 1)
+                products[key] = hit
+            if hit:
+                _accumulate(out, hit[0], p - c if hit[1] else c, p)
         return out
 
     def reduce(self, vec):
@@ -343,17 +369,16 @@ class _ModuleEngine:
         below the one before: the remainder's keys come out in decreasing
         order, its first key the largest."""
         work = dict(vec)
-        out = {}
+        out, p, rows = {}, self.p, self.rows
         used = 0
         while work:
             key = max(work)
             c = work.pop(key)
-            if key in self.rows:
-                row, d = self.rows[key]
+            if key in rows:
+                row, d = rows[key]
                 used = max(used, d)
-                for sym, rc in row.items():
-                    if sym != key:
-                        accumulate(work, sym, -(c * rc))
+                for sym, rc in islice(row.items(), 1, None):   # the pivot comes first
+                    _accumulate(work, sym, -c * rc, p)
             else:
                 out[key] = c
         return out, used
@@ -363,8 +388,9 @@ class _ModuleEngine:
         if not rem:
             return False
         pivot = next(iter(rem))
-        inv = rem[pivot].inverse()
-        row = {sym: c * inv for sym, c in rem.items()}
+        p = self.p
+        inv = pow(rem[pivot], p - 2, p)
+        row = {sym: c * inv % p for sym, c in rem.items()}
         self.rows[pivot] = (row, depth)
         self.frontier.append((row, depth))
         return True
@@ -414,28 +440,29 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     the reductions used; rows do not inherit the rounds of the rows that
     reduced them, so it can lie below the smallest working cap (ROADMAP
     item 1).  An exhausted cap raises DerivationCapExceeded with the
-    inconclusive partial report attached.
+    inconclusive partial report attached; a rank above 5 raises ValueError.
+    ``field`` supplies only its characteristic p (3 by default), so the
+    report is the same for every F_{p^m}.
     """
     _require_rank(n)
+    if n > _DERIVE_MAX_RANK:
+        raise ValueError(
+            f"derive is measured up to rank {_DERIVE_MAX_RANK}; rank {n} is refused")
     length_cap = max(n * n, 20) if length_cap is None else length_cap
     if length_cap < n * n:
         raise ValueError(f"length cap must be at least n^2 = {n * n}")
-    engine = _ModuleEngine(n, length_cap)
+    p = field.p if field else 3
+    engine = _ModuleEngine(n, length_cap, p)
     report = DerivationReport(n=n, cap=length_cap)
-
-    one = (field or FqField(3)).one  # odd characteristic keeps the signs visible
-    v = {(0, identity(n)): one}
 
     z_ops = {j: _operator_window(n, j) for j in range(1, n + 1)}
     for j, z in z_ops.items():
         assert not has_finite_descent(z), (j, z)
 
-    def idempotency_defect(g: tuple):
-        """T_g T_g v - T_g v as a module vector."""
-        gv = engine.apply(g, v)
-        out = engine.apply(g, gv)
-        for sym, c in gv.items():
-            accumulate(out, sym, -c)
+    def idempotency_defect(key):
+        """T_g T_g v - T_g v as a module vector, where T_g v is the symbol key = (l(g), g)."""
+        out = engine.apply(key[1], {key: 1})
+        _accumulate(out, key, -1, p)
         return out
 
     def op_name(j: int) -> str:
@@ -443,10 +470,8 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
 
     # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0,
     # where l(S_{j..(n-1)} Pi) = n - j
-    rel = {}
-    for j in range(1, n + 1):
-        accumulate(rel, (n - j, z_ops[j]), one)
-    accumulate(rel, (0, identity(n)), -one)
+    rel = {(n - j, z_ops[j]): 1 for j in range(1, n + 1)}
+    rel[0, identity(n)] = p - 1
     engine.add_relation(rel)
 
     cap_used = 0
@@ -455,14 +480,15 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
             z = z_ops[i]
             u_elem = translation((1,) * i + (0,) * (n - i))
             assert not has_finite_descent(u_elem)
+            zv, uv = (n - i, z), (i * (n - i), u_elem)  # l(U_i) = i(n - i)
 
-            r1 = engine.ensure_zero(idempotency_defect(z))
-            r1u = engine.ensure_zero(idempotency_defect(u_elem))
+            r1 = engine.ensure_zero(idempotency_defect(zv))
+            r1u = engine.ensure_zero(idempotency_defect(uv))
 
             # external hypothesis: U_i nilpotent; with idempotency this kills U_i v
-            engine.add_relation({(i * (n - i), u_elem): one})  # l(U_i) = i(n - i)
-            r2 = engine.ensure_zero({(n - i, z): one})
-            engine.add_relation({(n - i, z): one})
+            engine.add_relation({uv: 1})
+            r2 = engine.ensure_zero({zv: 1})
+            engine.add_relation({zv: 1})
 
             # trace in the shape of the step-by-step hand computation
             name = op_name(i)
@@ -475,8 +501,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
                 all_die = all_die and has_finite_descent(prod)
             line2 = f"= {name}v " + " ".join(cross)
             line3 = f"= {name}v" if all_die else f"= {name}v (mod earlier relations)"
-            rounds = max(r1, r1u, r2)
-            cap_used = max(cap_used, rounds)
+            cap_used = max(cap_used, r1, r1u, r2)
             report.steps.append(DerivationStep(
                 index=i,
                 operator=name,
@@ -487,10 +512,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
                 derived=(f"U_{i}v = 0", f"{name}v = 0"),
             ))
 
-        final = {(0, identity(n)): one}
-        for sym, c in engine.apply(rotation(n), v).items():
-            accumulate(final, sym, -c)
-        rf = engine.ensure_zero(final)
+        rf = engine.ensure_zero({(0, identity(n)): 1, (0, rotation(n)): p - 1})  # v - Πv
         cap_used = max(cap_used, rf)
         report.final_round = rf
         report.minimal_sufficient_cap = cap_used

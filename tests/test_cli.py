@@ -232,6 +232,16 @@ def test_hecke0_verify_below_rank_2_is_a_domain_error():
                                              "message": "rank must be at least 2"}
 
 
+def test_derive_above_rank_5_is_refused_at_once():
+    message = "derive is measured up to rank 5; rank 7 is refused"
+    start = time.perf_counter()
+    code, text = run_job({"command": "hecke0", "params": {"action": "derive", "n": 7, "cap": 49}})
+    assert (code, json.loads(text)) == (1, {"error": {"kind": "domain", "message": message}})
+    code, out, err = _main_bytes(["hecke0", "derive", "--n", "7", "--cap", "49"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out), err) == (1, {"error": {"kind": "domain", "message": message}}, "")
+
+
 def test_error_paths():
     code, text = run_job({"command": "nope"})
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"

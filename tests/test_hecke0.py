@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import gln_modp.hecke0 as h0mod
 from gln_modp import cli
+from gln_modp.finite_field import FqField
 from gln_modp.hecke0 import (
     DerivationCapExceeded, _canonicalize, _chain, _operator_window, _rotation,
     derive_rotation_invariance, has_finite_descent, identity, reduced_word,
@@ -237,6 +238,29 @@ def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
     (engine,) = engines
     assert len(engine.rows) > 1
     assert all(l == _length(x) for l, x in engine.rows)
+
+
+def test_derivation_report_depends_only_on_the_rank():
+    # the relations have coefficients +-1, so the engine works in the prime
+    # field; in characteristic 2 the signs vanish and the report still agrees
+    fields = [FqField(2), FqField(3), FqField(5), FqField(2, 2), FqField(3, 2)]
+    for n, cases in ((2, fields), (3, fields), (4, [FqField(2), FqField(3, 2)])):
+        expect = derive_rotation_invariance(n, field=FqField(3)).to_json()
+        for field in cases:
+            assert derive_rotation_invariance(n, field=field).to_json() == expect, (n, field)
+
+
+def test_engine_forms_each_product_once(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return signed_product(x, y)
+
+    monkeypatch.setattr(h0mod, "signed_product", counting)
+    assert derive_rotation_invariance(4).status == "derived"
+    assert len(calls) > 1000
+    assert len(set(calls)) == len(calls)
 
 
 def test_derivation_trace_n2():
