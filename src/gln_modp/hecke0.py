@@ -158,7 +158,7 @@ def signed_product(x: tuple, y: tuple):
     y from x letter by letter (the reference in the tests): z is the same
     element, each absorbed letter is one length lost, so the number of them
     is the defect l(x) + l(y) - l(z).  The window reached has rotation degree
-    deg x + deg y; canonicalizing it removes a whole turn Pi^n = 1 when that
+    deg x + deg y in [0, 2n-2]; a whole turn Pi^n = 1 is removed when that
     is n or more.  Returns (defect, z).
     """
     n = len(y)
@@ -174,7 +174,8 @@ def signed_product(x: tuple, y: tuple):
             z[k - 1], z[k] = b + d, a
         else:
             defect += 1
-    return defect, _canonicalize(z)
+    turns = (sum(z) - n * (n + 1) // 2) // (n * n)   # floor(deg z / n), as in _canonicalize
+    return defect, tuple(v - n * turns for v in z) if turns else tuple(z)
 
 
 def _chain(*windows):
@@ -333,13 +334,15 @@ class _ModuleEngine:
 
     Coefficients are ints in [1, p-1].  Each (g, symbol) product is formed
     once per engine: ``products[g][symbol]`` holds its key and defect parity,
-    or None when it has a finite right descent."""
+    or None when it has a finite right descent.  Rules A (``add_relation``)
+    and B (``expand_once``) skip only inserts that would reduce to zero and
+    change no state, so the rows are those of the full saturation."""
 
     def __init__(self, n: int, cap: int, p: int):
         self.cap = cap
         self.p = p
         self.rows = {}          # pivot key -> (row dict, depth)
-        self.frontier = []      # rows inserted at the current depth
+        self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
         self.products = {}      # g -> {key: (key of T_g key, defect parity) or None}
         self.gens = [simple(n, k) for k in range(n)]
@@ -383,27 +386,34 @@ class _ModuleEngine:
                 out[key] = c
         return out, used
 
-    def insert(self, vec, depth: int) -> bool:
+    def insert(self, vec, depth: int):
+        """Keep vec's reduced remainder as a row; returns it, or None if vec is in the span."""
         rem, _ = self.reduce(vec)
         if not rem:
-            return False
+            return None
         pivot = next(iter(rem))
         p = self.p
         inv = pow(rem[pivot], p - 2, p)
         row = {sym: c * inv % p for sym, c in rem.items()}
         self.rows[pivot] = (row, depth)
-        self.frontier.append((row, depth))
-        return True
+        return row
 
     def add_relation(self, vec, depth: int = 0):
-        """Insert a relation together with its free rotation translates."""
-        self.insert(vec, depth)
-        for r in self.rots:
-            self.insert(self.apply(r, vec), depth)
+        """Insert a relation and its free rotation translates; only its own
+        row joins the frontier.  Each call inserts a whole Pi-orbit and Pi^n = 1,
+        so the span is Pi-stable here: if vec reduces to zero, so does every
+        Pi^k vec, and none is formed (rule A)."""
+        if (row := self.insert(vec, depth)) is not None:
+            self.frontier.append((row, depth))
+            for r in self.rots:
+                self.insert(self.apply(r, vec), depth)
 
     def expand_once(self):
         """One saturation round: translate every frontier row by each
-        length-one generator (rotations are attached for free)."""
+        length-one generator (rotations are attached for free).  Rows kept
+        from Pi^a f are not in the frontier (rule B): S_k Pi = Pi S_{k+1}, so
+        S_k Pi^a f is Pi^a S_j f for some j, and f's row comes first, so those
+        translates and their rotations are in the span by their turn."""
         self.depth += 1
         old, self.frontier = self.frontier, []
         for row, d in old:

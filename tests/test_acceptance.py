@@ -191,7 +191,8 @@ def test_criterion_5_lattice_counts():
 
 def test_criterion_6_hecke0_identities():
     """Algebra relations and word identities for n <= 5; the derivation
-    succeeds for n in {2,3,4} with the pinned three-line trace at n = 2."""
+    succeeds for n in {2,3,4} at the default cap and for n = 5 at cap 30,
+    with the pinned three-line trace at n = 2."""
     ok = True
     for n in (2, 3, 4, 5):
         ok &= verify_braid_and_rotation(n)
@@ -199,8 +200,8 @@ def test_criterion_6_hecke0_identities():
         for i in range(1, n):
             ok &= verify_translation_power(n, i)
     traces = {}
-    for n in (2, 3, 4):
-        rep = derive_rotation_invariance(n, max(n * n, 20))
+    for n, cap in ((2, 20), (3, 20), (4, 20), (5, 30)):
+        rep = derive_rotation_invariance(n, cap)
         ok &= rep.status == "derived" and rep.conclusion == "v = Πv"
         traces[n] = rep
     ok &= traces[2].steps[0].trace == (
@@ -209,7 +210,7 @@ def test_criterion_6_hecke0_identities():
         "= S_1Πv",
     )
     report(ok, "criterion 6: 0-Hecke relations and word identities for n <= 5; "
-               "derivation succeeds for n in {2,3,4} with the pinned n=2 trace")
+               "derivation succeeds for n in {2,3,4,5} with the pinned n=2 trace")
 
 
 def test_criterion_7_weight_bijection():

@@ -263,6 +263,60 @@ def test_engine_forms_each_product_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+class _FullSaturation(h0mod._ModuleEngine):
+    """The saturation without rules A and B: every rotation translate is
+    inserted, and every kept row enters the frontier."""
+
+    def add_relation(self, vec, depth=0):
+        for v in [vec] + [self.apply(r, vec) for r in self.rots]:
+            if (row := self.insert(v, depth)) is not None:
+                self.frontier.append((row, depth))
+
+
+def _derive_recording(monkeypatch, engine_class, n, cap):
+    """(report JSON, engine, insert calls) of one derivation on engine_class."""
+    engines, calls = [], []
+
+    class Recording(engine_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+        def insert(self, vec, depth):
+            calls.append(depth)
+            return super().insert(vec, depth)
+
+    with monkeypatch.context() as m:
+        m.setattr(h0mod, "_ModuleEngine", Recording)
+        try:
+            report = derive_rotation_invariance(n, cap)
+        except DerivationCapExceeded as exc:
+            report = exc.report
+    (engine,) = engines
+    return report.to_json(), engine, len(calls)
+
+
+@pytest.mark.parametrize("n,cap", [(2, None), (3, None), (4, None), (4, 16)])
+def test_skipped_translates_change_nothing(monkeypatch, n, cap):
+    # rules A and B skip only inserts that reduce to zero: the rows, their
+    # depths and order, and the report equal those of the full saturation
+    full, full_engine, full_calls = _derive_recording(monkeypatch, _FullSaturation, n, cap)
+    ship, ship_engine, ship_calls = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
+    assert list(ship_engine.rows.items()) == list(full_engine.rows.items())
+    assert ship == full
+    assert ship_calls < full_calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_row_span_is_rotation_stable(monkeypatch, n):
+    # rule A's premise: every rotation translate of every row reduces to zero
+    _, engine, _ = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, None)
+    assert len(engine.rows) > 10
+    for row, _ in engine.rows.values():
+        for k in range(1, n):
+            assert not engine.reduce(engine.apply(rotation(n, k), row))[0], (row, k)
+
+
 def test_derivation_trace_n2():
     rep = derive_rotation_invariance(2, 4)
     assert rep.steps[0].trace == (
@@ -432,13 +486,35 @@ DERIVE_PINS = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(DERIVE_PINS))
-def test_derive_output_is_pinned(n):
+def _cli_derive(**params):
+    """(exit code, output) of a ``hecke0 derive`` job over F_3."""
     out = io.StringIO()
     code = cli.run({"command": "hecke0", "scalar_field": {"p": 3, "m": 1},
-                    "params": {"action": "derive", "n": n}}, out)
-    text = out.getvalue()
+                    "params": {"action": "derive", **params}}, out)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("n", sorted(DERIVE_PINS))
+def test_derive_output_is_pinned(n):
+    code, text = _cli_derive(n=n)
     cap, digest = DERIVE_PINS[n]
     assert code == 0
     assert json.loads(text)["minimal_sufficient_cap"] == cap
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# n = 5: cap 30 derives; the CLI default cap max(n^2, 20) = 25 is inconclusive
+# and exits 1 with the partial report.  Both digests were taken from the engine
+# that inserted every rotation translate and translated every kept row.
+DERIVE_N5_PINS = {
+    30: (0, "8506dbe70c06afe9f32ca719f8dc90d219a0262610c95d0506f6a6e56acfd6d4"),
+    None: (1, "a1a6be818ef13afc110322aa435dad42499499abf7eeadcea724aa68f86adbea"),
+}
+
+
+@pytest.mark.parametrize("cap", [30, None])
+def test_derive_n5_output_is_pinned(cap):
+    code, text = _cli_derive(n=5, **({"cap": cap} if cap else {}))
+    expect_code, digest = DERIVE_N5_PINS[cap]
+    assert code == expect_code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
