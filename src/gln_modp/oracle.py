@@ -12,7 +12,7 @@ The gates stay exhaustive over every element that can decide them, and
 skip only the elements that cannot.  The double-coset support gate claims
 that a projection is nonzero only on the big cell, so a kappa inside the
 big cell can never refute it: the gate scans the complement of the big cell,
-enumerated once per (n, q, Q, P), and its verdict is that of the full scan.
+a union of Bruhat cells, and its verdict is that of the full scan.
 Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
 Lambda^k), built once per (n, q): the matrix of a group element on a
 construction is computed once and shared by its twists and by every gate.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, takewhile
+from itertools import chain, combinations, product, takewhile
 from types import MappingProxyType
 
 from .finite_field import is_prime
@@ -101,10 +101,6 @@ def rref(rows, q):
     return tuple(tuple(r) for r in M[:rank]), tuple(pivots)
 
 
-def mat_rank(rows, q) -> int:
-    return len(rref(rows, q)[0])
-
-
 def nullspace(rows, q, ncols):
     """Basis of the right kernel of the matrix given by ``rows``."""
     R, pivots = rref(rows, q)
@@ -142,6 +138,21 @@ def gl_elements(n: int, q: int):
             out.append(A)
     assert len(out) == group_order_formula(n, q)
     return tuple(out)
+
+
+@lru_cache(maxsize=_CACHED_GROUPS)
+def _bruhat_cells(n: int, q: int):
+    """Each permutation w, mapped to the kappa in Bbar w B (Bbar lower, B
+    upper triangular) in ``gl_elements`` order.  Bbar and B keep the rank
+    #{i < a : w(i) < b} of each top-left a x b block, so w(a) is the column
+    row a of kappa adds to the pivots above it, the last row the one left."""
+    cells = {}
+    for kappa in gl_elements(n, q):
+        rows = (_reduce_mod(*rref(kappa[:a], q), kappa[a], q) for a in range(n - 1))
+        w = [next(c for c, x in enumerate(v) if x) for v in rows]
+        w.append(n * (n - 1) // 2 - sum(w))
+        cells.setdefault(tuple(w), []).append(kappa)
+    return MappingProxyType({w: tuple(cell) for w, cell in cells.items()})
 
 
 def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
@@ -403,7 +414,7 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     if len(inv) != mod.dim - len(K):
         return False
     reduced = [_reduce_mod(K, piv, v, q) for v in inv]
-    if mat_rank(reduced, q) != len(inv):
+    if len(rref(reduced, q)[0]) != len(inv):
         return False
 
     # full-unipotent invariants: one line, carrying the character of nu
@@ -434,23 +445,11 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     return ok_support
 
 
-def in_big_cell(kappa, Q: StandardParabolic, P: StandardParabolic, q: int) -> bool:
-    """Membership of kappa in (opposite parabolic of Q) * P, decided by
-    transversality: for boundaries a of Q and b of P the spans kappa*V_b and
-    the coordinate complement W_a must intersect generically.  Stacking the
-    first b columns of kappa with the last n - a coordinate vectors gives
-    rank (n - a) + rank of the top-left a x b block, so the condition is
-    that every such block has rank min(a, b)."""
-    return all(mat_rank([row[:b] for row in kappa[:a]], q) == min(a, b)
+def in_big_cell(w, Q: StandardParabolic, P: StandardParabolic) -> bool:
+    """Whether the Bruhat cell of w lies in the big cell (opposite of Q) * P:
+    the top-left a x b blocks at Q's and P's boundaries have rank min(a, b)."""
+    return all(sum(w[i] < b for i in range(a)) == min(a, b)
                for a in Q.boundaries for b in P.boundaries)
-
-
-@lru_cache(maxsize=128)
-def _off_big_cell(n: int, q: int, Q: StandardParabolic, P: StandardParabolic):
-    """The kappa in GL_n(F_q) outside the big cell (opposite of Q) * P, in
-    the order of ``gl_elements``."""
-    return tuple(kappa for kappa in gl_elements(n, q)
-                 if not in_big_cell(kappa, Q, P, q))
 
 
 def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
@@ -463,9 +462,9 @@ def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
     that one hypothesis may be dropped when the stabilizer Levi equals the
     other one exactly.
 
-    Only the kappa outside the big cell are scanned: a kappa in the big cell
-    satisfies the claim whatever its projection is, so skipping it leaves
-    the verdict of the scan over all of GL_n(F_q) unchanged.
+    Only the Bruhat cells outside the big cell are scanned: a kappa in the
+    big cell satisfies the claim whatever its projection is, so skipping it
+    leaves the verdict of the full scan, in any order, unchanged.
     """
     V = make_weight(tuple(nu), q)
     if not _support_hypothesis(V, P, Q):
@@ -482,13 +481,14 @@ def _support_hypothesis(V, P: StandardParabolic, Q: StandardParabolic) -> bool:
 def _support_failures(n: int, q: int, nu, P: StandardParabolic,
                       Q: StandardParabolic):
     """Every kappa outside the big cell with a nonzero projection, lazily
-    and in the order of ``gl_elements``: the support gate without its
-    regularity hypothesis."""
+    and cell by cell in the order of ``_bruhat_cells``: the support gate
+    without its regularity hypothesis."""
     mod = _module(n, q, nu)
     inv = invariant_space(mod, _radical_gens(P, q))
     K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
 
-    for kappa in _off_big_cell(n, q, Q, P):
+    off = (cell for w, cell in _bruhat_cells(n, q).items() if not in_big_cell(w, Q, P))
+    for kappa in chain.from_iterable(off):
         if any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv):
             yield kappa
 

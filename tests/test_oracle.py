@@ -1,19 +1,19 @@
 import time
 from collections import Counter
-from itertools import product
-from math import prod
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
 from gln_modp import oracle
 from gln_modp.oracle import (
-    _off_big_cell, _radical_gens, _reduce_mod, _support_failures,
+    _bruhat_cells, _radical_gens, _reduce_mod, _support_failures,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
     invariant_space, iwasawa_orbit_counts, mat_det, subspaces,
-    supported_weight_modules, sym_power_module, verify_gates,
+    rref, supported_weight_modules, sym_power_module, verify_gates,
 )
 from gln_modp.root_datum import StandardParabolic, all_parabolics
 from gln_modp.weights import make_weight
@@ -258,9 +258,48 @@ def test_double_coset_relaxed_hypothesis():
     assert check_double_coset_support(3, 2, nu, P, Q)
 
 
+def _rank_in_big_cell(kappa, Q, P, q):
+    """Big-cell membership decided on kappa itself: every top-left a x b
+    block, a a boundary of Q and b one of P, has rank min(a, b)."""
+    return all(len(rref([row[:b] for row in kappa[:a]], q)[0]) == min(a, b)
+               for a in Q.boundaries for b in P.boundaries)
+
+
+def _off_cells(n, q, Q, P):
+    """The kappa of every Bruhat cell off the big cell, sorted."""
+    return sorted(kappa for w, cell in _bruhat_cells(n, q).items()
+                  if not in_big_cell(w, Q, P) for kappa in cell)
+
+
+def _inversions(w):
+    return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_bruhat_cells_are_the_bruhat_decomposition(n, q):
+    # n! cells of size |B| q^(N - l(w)) partition G, each in gl_elements
+    # order, and every kappa has the top-left block ranks of its w
+    G = gl_elements(n, q)
+    position = {g: k for k, g in enumerate(G)}
+    cells = _bruhat_cells(n, q)
+    assert sorted(cells) == sorted(permutations(range(n))) and len(cells) == factorial(n)
+    N = n * (n - 1) // 2
+    for w, cell in cells.items():
+        assert len(cell) == (q - 1) ** n * q ** N * q ** (N - _inversions(w))
+        assert [position[g] for g in cell] == sorted(position[g] for g in cell)
+        assert tuple(tuple(int(w[a] == b) for b in range(n)) for a in range(n)) in cell
+        for kappa in cell:
+            for a in range(1, n):
+                for b in range(1, n):
+                    rank = len(rref([row[:b] for row in kappa[:a]], q)[0])
+                    assert rank == sum(w[i] < b for i in range(a))
+    assert sum(len(cell) for cell in cells.values()) == len(G)
+
+
 def test_in_big_cell_against_brute_force():
-    # membership agrees with the product set Qbar * P for every pair of
-    # proper parabolics at (2, 2), (2, 3) and (3, 2)
+    # membership of each kappa's cell agrees with the product set Qbar * P
+    # and with the rank test for every pair of proper parabolics at (2, 2),
+    # (2, 3) and (3, 2)
     cases = [(n, q, P, Q) for n, q in [(2, 2), (2, 3), (3, 2)]
              for P in all_parabolics(n) for Q in all_parabolics(n)
              if P.boundaries and Q.boundaries]
@@ -269,13 +308,14 @@ def test_in_big_cell_against_brute_force():
         for a in parabolic_elements(n, q, Q, opposite=True):
             for b in parabolic_elements(n, q, P):
                 big.add(mat_mul(a, b, q))
-        for g in gl_elements(n, q):
-            assert in_big_cell(g, Q, P, q) == (g in big)
+        for w, cell in _bruhat_cells(n, q).items():
+            for g in cell:
+                assert in_big_cell(w, Q, P) == (g in big) == _rank_in_big_cell(g, Q, P, q)
 
 
 def test_off_big_cell_matches_brute_force():
-    # the restricted scan set is exactly {kappa : not in_big_cell}, and its
-    # size is |G| - |Qbar| |P| / |Qbar meet P|
+    # the cells off the big cell hold exactly {kappa : not in the big cell}
+    # by the rank test, |G| - |Qbar| |P| / |Qbar meet P| of them
     for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         G = gl_elements(n, q)
         parabolics = all_parabolics(n)
@@ -283,38 +323,38 @@ def test_off_big_cell_matches_brute_force():
         lower = {Q: set(parabolic_elements(n, q, Q, opposite=True)) for Q in parabolics}
         for P in parabolics:
             for Q in parabolics:
-                off = _off_big_cell(n, q, Q, P)
-                assert off == tuple(g for g in G if not in_big_cell(g, Q, P, q))
+                off = _off_cells(n, q, Q, P)
+                assert off == sorted(g for g in G if not _rank_in_big_cell(g, Q, P, q))
                 meet = sum(1 for g in upper[P] if g in lower[Q])
                 assert len(off) == len(G) - len(lower[Q]) * len(upper[P]) // meet
 
 
 def _full_scan_failures(n, q, nu, P, Q):
     """The support gate written out over all of GL_n(F_q): every kappa whose
-    projection is nonzero although it lies outside the big cell."""
+    projection is nonzero although it lies outside the big cell, sorted."""
     mod = supported_weight_modules(n, q)[nu]
     inv = invariant_space(mod, _radical_gens(P, q))
     K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
     failures = []
     for kappa in gl_elements(n, q):
         nonzero = any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
-        if nonzero and not in_big_cell(kappa, Q, P, q):
+        if nonzero and not _rank_in_big_cell(kappa, Q, P, q):
             failures.append(kappa)
-    return failures
+    return sorted(failures)
 
 
 def test_restricted_scan_reports_the_full_scan_failures():
     # nu = (0,0) is not B-regular: every kappa off the big cell fails
     failures = _full_scan_failures(2, 3, (0, 0), B2, B2)
-    assert failures == list(_off_big_cell(2, 3, B2, B2)) and len(failures) == 12
-    assert list(_support_failures(2, 3, (0, 0), B2, B2)) == failures
+    assert failures == _off_cells(2, 3, B2, B2) and len(failures) == 12
+    assert sorted(_support_failures(2, 3, (0, 0), B2, B2)) == failures
     # every triple at (3, 2); those outside the regularity hypothesis can fail
     outside, failing = 0, 0
     for nu in supported_weight_modules(3, 2):
         for P in all_parabolics(3):
             for Q in all_parabolics(3):
                 failures = _full_scan_failures(3, 2, nu, P, Q)
-                assert list(_support_failures(3, 2, nu, P, Q)) == failures
+                assert sorted(_support_failures(3, 2, nu, P, Q)) == failures
                 try:
                     assert check_double_coset_support(3, 2, nu, P, Q) == (not failures)
                 except ValueError:
