@@ -16,13 +16,17 @@ a union of Bruhat cells, and its verdict is that of the full scan.
 Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
 Lambda^k), built once per (n, q): the matrix of a group element on a
 construction is computed once and shared by its twists and by every gate.
+GL_n(F_q) is built row by row, as in the count of its order, and the same
+pass finds each kappa's Bruhat cell; determinants are Leibniz sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, takewhile
+from itertools import chain, combinations, permutations, product, takewhile
+from math import prod
+from operator import getitem
 from types import MappingProxyType
 
 from .finite_field import is_prime
@@ -40,8 +44,8 @@ def _require_prime(q: int):
 
 
 def _too_large(n: int, q: int) -> bool:
-    """The size guard: enumerating GL_n(F_q) scans all q^(n^2) matrices, and
-    |GL_n(F_q)| < q^(n^2), so this bound alone decides."""
+    """The size guard on q^(n^2), the size of M_n(F_q): it bounds |GL_n(F_q)|
+    and decides which (n, q) pairs ``verify_gates`` runs."""
     return q ** (n * n) > SIZE_GUARD
 
 
@@ -52,32 +56,23 @@ def _require_enumerable(n: int, q: int):
 
 
 def group_order_formula(n: int, q: int) -> int:
-    out = 1
-    for k in range(n):
-        out *= q ** n - q ** k
-    return out
+    return prod(q ** n - q ** a for a in range(n))
 
 
 # -- dense linear algebra over F_q (q prime), matrices as row tuples --------
 
-def mat_det(A, q):
-    n = len(A)
-    M = [list(r) for r in A]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c] % q
-        inv = pow(M[c][c], q - 2, q)
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv % q
-                M[r] = [(x - f * y) % q for x, y in zip(M[r], M[c])]
-    return det % q
+@lru_cache(maxsize=8)
+def _signed_permutations(n: int):
+    """Each permutation of range(n) with its sign, (-1)^(inversions)."""
+    return tuple((sigma, (-1) ** sum(a > b for a, b in combinations(sigma, 2)))
+                 for sigma in permutations(range(n)))
+
+
+def _det(A, q):
+    """det A mod q by the Leibniz formula, n! products with no pivot and no
+    division; inside ``verify_gates`` no determinant exceeds 3 x 3."""
+    return sum(sign * prod(map(getitem, A, sigma))
+               for sigma, sign in _signed_permutations(len(A))) % q
 
 
 def rref(rows, q):
@@ -129,29 +124,32 @@ def _reduce_mod(R, pivots, v, q):
 
 @lru_cache(maxsize=_CACHED_GROUPS)
 def gl_elements(n: int, q: int):
-    """All of GL_n(F_q), with a hard size guard."""
-    _require_enumerable(n, q)
-    out = []
-    for entries in product(range(q), repeat=n * n):
-        A = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-        if mat_det(A, q):
-            out.append(A)
+    """All of GL_n(F_q) in lexicographic order: its Bruhat cells, merged."""
+    out = tuple(sorted(chain.from_iterable(_bruhat_cells(n, q).values())))
     assert len(out) == group_order_formula(n, q)
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=_CACHED_GROUPS)
 def _bruhat_cells(n: int, q: int):
     """Each permutation w, mapped to the kappa in Bbar w B (Bbar lower, B
-    upper triangular) in ``gl_elements`` order.  Bbar and B keep the rank
-    #{i < a : w(i) < b} of each top-left a x b block, so w(a) is the column
-    row a of kappa adds to the pivots above it, the last row the one left."""
+    upper triangular) in lexicographic order.  Row a of kappa is one of the
+    q^n - q^a rows whose reduction v modulo the rows above is nonzero; Bbar
+    and B keep each top-left rank #{i < a : w(i) < b}, so v leads at w(a)."""
+    _require_enumerable(n, q)
     cells = {}
-    for kappa in gl_elements(n, q):
-        rows = (_reduce_mod(*rref(kappa[:a], q), kappa[a], q) for a in range(n - 1))
-        w = [next(c for c, x in enumerate(v) if x) for v in rows]
-        w.append(n * (n - 1) // 2 - sum(w))
-        cells.setdefault(tuple(w), []).append(kappa)
+
+    def extend(rows, w):
+        if len(rows) == n:
+            cells.setdefault(w, []).append(rows)
+            return
+        R, pivots = rref(rows, q)
+        for row in product(range(q), repeat=n):
+            v = _reduce_mod(R, pivots, row, q)
+            if any(v):
+                extend(rows + (row,), w + (next(c for c, x in enumerate(v) if x),))
+
+    extend((), ())
     return MappingProxyType({w: tuple(cell) for w, cell in cells.items()})
 
 
@@ -288,14 +286,14 @@ class TinyWeightModule:
         return len(self.gradings)
 
     def matrix(self, g):
-        """Column-convention matrix of g on the module: det(g)^b times the
-        untwisted matrix."""
+        """Column-convention matrix of g on the module: det(g)^b, by the
+        Leibniz formula, times the untwisted matrix."""
         M = self._cache.get(g)
         if M is None:
             M = self._untwisted(g)
             if self.b:
                 q = self.q
-                detb = pow(mat_det(g, q), self.b, q)
+                detb = pow(_det(g, q), self.b, q)
                 M = tuple(tuple(x * detb % q for x in row) for row in M)
             self._cache[g] = M
         return M
@@ -342,7 +340,7 @@ def sym_power_module(n: int, q: int, a: int) -> TinyWeightModule:
 
 def exterior_power_module(n: int, q: int, k: int) -> TinyWeightModule:
     """The k-th exterior power of the standard module (minuscule, always
-    irreducible), on the k-subsets graded by their indicators."""
+    irreducible), on the k-subsets graded by their indicators: g's minors."""
     _require_prime(q)
     if not 1 <= k <= n:
         raise ValueError("exterior power degree out of range")
@@ -350,7 +348,7 @@ def exterior_power_module(n: int, q: int, k: int) -> TinyWeightModule:
 
     def untwisted(g):
         # the entry at (T, S) is the minor of g on rows T and columns S
-        return tuple(tuple(mat_det([[g[r][c] for c in S] for r in T], q)
+        return tuple(tuple(_det([[g[r][c] for c in S] for r in T], q)
                            for S in subsets) for T in subsets)
 
     gradings = tuple(tuple(int(j in S) for j in range(n)) for S in subsets)

@@ -1,18 +1,20 @@
 import time
 from collections import Counter
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import chain, permutations, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp import oracle
 from gln_modp.oracle import (
-    _bruhat_cells, _radical_gens, _reduce_mod, _support_failures,
+    _bruhat_cells, _det, _radical_gens, _reduce_mod, _support_failures,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
-    invariant_space, iwasawa_orbit_counts, mat_det, subspaces,
+    invariant_space, iwasawa_orbit_counts, subspaces,
     rref, supported_weight_modules, sym_power_module, verify_gates,
 )
 from gln_modp.root_datum import StandardParabolic, all_parabolics
@@ -20,6 +22,42 @@ from gln_modp.weights import make_weight
 
 B2 = StandardParabolic.torus(2)
 B3 = StandardParabolic.torus(3)
+
+
+def mat_det(A, q):
+    n = len(A)
+    M = [list(r) for r in A]
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det = det * M[c][c] % q
+        inv = pow(M[c][c], q - 2, q)
+        for r in range(c + 1, n):
+            if M[r][c]:
+                f = M[r][c] * inv % q
+                M[r] = [(x - f * y) % q for x, y in zip(M[r], M[c])]
+    return det % q
+
+
+@lru_cache(maxsize=8)
+def all_matrices(n, q):
+    """Every matrix of M_n(F_q) in lexicographic order, with its Gaussian
+    determinant ``mat_det``: the reference for ``_det`` and for the group."""
+    out = []
+    for entries in product(range(q), repeat=n * n):
+        A = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        out.append((A, mat_det(A, q)))
+    return tuple(out)
+
+
+def reference_group(n, q):
+    """GL_n(F_q) by the scan of all q^(n^2) matrices through ``mat_det``."""
+    return [A for A, det in all_matrices(n, q) if det]
 
 
 def mat_mul(A, B, q):
@@ -76,9 +114,34 @@ def test_radical_gens_generate_the_unipotent_radicals():
                 assert group_closure(gens, n, q) == radical_elements(n, q, P, upper)
 
 
+REFERENCE_CASES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+
+
 def test_group_enumeration_matches_formula():
-    for n, q in [(2, 2), (2, 3), (3, 2), (2, 5)]:
+    # the row-by-row enumeration gives the scan's elements in the scan's order
+    for n, q in REFERENCE_CASES:
+        assert list(gl_elements(n, q)) == reference_group(n, q)
         assert len(gl_elements(n, q)) == group_order_formula(n, q)
+
+
+def test_leibniz_det_matches_the_gaussian_reference():
+    # every matrix, singular ones included
+    for n, q in REFERENCE_CASES:
+        for A, det in all_matrices(n, q):
+            assert _det(A, q) == det
+
+
+def square4(q):
+    return st.tuples(*[st.tuples(*[st.integers(0, q - 1)] * 4)] * 4)
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda q: st.tuples(st.just(q), square4(q), square4(q))))
+def test_leibniz_det_is_multiplicative(case):
+    # 4 x 4: larger than any determinant the gates take or the scans reach
+    q, A, B = case
+    assert _det(mat_mul(A, B, q), q) == _det(A, q) * _det(B, q) % q
+    assert _det(A, q) == mat_det(A, q) and _det(B, q) == mat_det(B, q)
 
 
 def test_size_and_primality_guards():
@@ -277,23 +340,23 @@ def _inversions(w):
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
 def test_bruhat_cells_are_the_bruhat_decomposition(n, q):
-    # n! cells of size |B| q^(N - l(w)) partition G, each in gl_elements
-    # order, and every kappa has the top-left block ranks of its w
-    G = gl_elements(n, q)
-    position = {g: k for k, g in enumerate(G)}
+    # n! cells of size |B| q^(N - l(w)) partition G, found by the scan of
+    # all matrices, each cell in lexicographic order, and every kappa has
+    # the top-left block ranks of its w
+    G = reference_group(n, q)
     cells = _bruhat_cells(n, q)
     assert sorted(cells) == sorted(permutations(range(n))) and len(cells) == factorial(n)
     N = n * (n - 1) // 2
     for w, cell in cells.items():
         assert len(cell) == (q - 1) ** n * q ** N * q ** (N - _inversions(w))
-        assert [position[g] for g in cell] == sorted(position[g] for g in cell)
+        assert list(cell) == sorted(cell)
         assert tuple(tuple(int(w[a] == b) for b in range(n)) for a in range(n)) in cell
         for kappa in cell:
             for a in range(1, n):
                 for b in range(1, n):
                     rank = len(rref([row[:b] for row in kappa[:a]], q)[0])
                     assert rank == sum(w[i] < b for i in range(a))
-    assert sum(len(cell) for cell in cells.values()) == len(G)
+    assert sorted(chain.from_iterable(cells.values())) == G
 
 
 def test_in_big_cell_against_brute_force():
