@@ -14,7 +14,11 @@ constituents are obtained by merging each maximal run of equal-twist
 Steinberg blocks into one block and sweeping the free parabolic choices.
 The count is 2^delta where delta is the number of failing adjacencies, each
 constituent occurs once, and the lattice of "submodules" is the lattice of
-lower sets of the choice poset.
+lower sets of the choice poset.  That poset is B_delta on the bits of the
+constituent index: the binary digits of index i are the runs' choice masks,
+first run highest, and bit b of a run's mask is set when free boundary b is
+chosen.  Reverse inclusion of the chosen parabolics is then i & j == j; the
+least constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.
 """
 
 from __future__ import annotations
@@ -110,27 +114,19 @@ class IrreducibleRep:
 
 @dataclass(frozen=True)
 class _SuperBlock:
-    """A maximal run of equal-twist Steinberg blocks, merged.
+    """A maximal run of equal-twist Steinberg blocks, merged: ``m`` is its
+    total size, ``inner`` the union of its blocks' parabolic subsets, shifted,
+    and ``free`` the boundaries of its Levi in GL_m, the selectable roots."""
 
-    ``sizes`` are the run's block sizes (the Levi L inside the block group of
-    size m = sum(sizes)); ``inner`` is the union of their parabolic subsets,
-    shifted; ``free`` are the boundaries of L, the selectable simple roots.
-    """
-
-    sizes: tuple
+    m: int
     inner: frozenset
     free: tuple
     eta: SmoothCharacter
 
-    @property
-    def m(self) -> int:
-        return sum(self.sizes)
-
 
 def super_blocks(datum: InductionDatum):
-    """Segment the datum into supersingular blocks and merged Steinberg runs
-    (the reusable normalization behind both the constituent count and the
-    lattice)."""
+    """Segment the datum into supersingular blocks and merged Steinberg runs,
+    the normalization from which ``constituents`` sweeps the choices."""
     segments = []
     i = 0
     blocks = datum.blocks
@@ -145,31 +141,30 @@ def super_blocks(datum: InductionDatum):
                and blocks[j + 1].eta == blk.eta):
             j += 1
         run = blocks[i:j + 1]
-        sizes = tuple(b.size for b in run)
         inner, offset = set(), 0
         for b in run:
             inner |= {offset + r for r in b.Q.delta}
             offset += b.size
-        L = StandardParabolic(sizes)
-        segments.append(_SuperBlock(sizes, frozenset(inner), L.boundaries, blk.eta))
+        L = StandardParabolic(tuple(b.size for b in run))
+        segments.append(_SuperBlock(L.n, frozenset(inner), L.boundaries, blk.eta))
         i = j + 1
     return segments
 
 
 @dataclass(frozen=True)
 class ConstituentPoset:
-    """Constituents of an induction datum with the componentwise
-    reverse-inclusion order on the free parabolic choices."""
+    """Constituents of an induction datum, ordered by reverse inclusion of
+    their free parabolic choices: B_delta on the bits of the element index."""
 
     elements: tuple        # IrreducibleRep, canonical order
-    choices: tuple         # per element: tuple of frozensets, one per run
 
     def __len__(self):
         return len(self.elements)
 
     def leq(self, i: int, j: int) -> bool:
-        """i below j: every chosen parabolic of i contains that of j."""
-        return all(a >= b for a, b in zip(self.choices[i], self.choices[j]))
+        """i below j: i chooses every free boundary j chooses, so every chosen
+        parabolic of i contains that of j; as index bits, i & j == j."""
+        return i & j == j
 
 
 def constituents(datum: InductionDatum) -> ConstituentPoset:
@@ -178,28 +173,26 @@ def constituents(datum: InductionDatum) -> ConstituentPoset:
     Every merged Steinberg run of total size m sweeps the parabolics of the
     block group whose trace on the run's Levi is the given one; the count is
     2^delta.  Elements are emitted in lexicographic bitmask order, runs left
-    to right.
+    to right, so the first run's mask varies slowest.
     """
     segments = super_blocks(datum)
-    runs = [seg for seg in segments if isinstance(seg, _SuperBlock)]
-    mask_ranges = [range(1 << len(run.free)) for run in runs]
-    elements, choices = [], []
+    mask_ranges = [range(1 << len(seg.free)) for seg in segments
+                   if isinstance(seg, _SuperBlock)]
+    elements = []
     for masks in product(*mask_ranges):
-        blocks, chosen = [], []
+        blocks = []
         k = 0
         for seg in segments:
             if isinstance(seg, Supersingular):
                 blocks.append(seg)
                 continue
             extra = {seg.free[b] for b in range(len(seg.free)) if masks[k] >> b & 1}
-            Qp = StandardParabolic.from_delta(seg.m, set(seg.inner) | extra)
+            Qp = StandardParabolic.from_delta(seg.m, seg.inner | extra)
             blocks.append(Steinberg(seg.m, Qp, seg.eta))
-            chosen.append(frozenset(Qp.delta))
             k += 1
         P = StandardParabolic(tuple(b.size for b in blocks))
         elements.append(IrreducibleRep(InductionDatum(P, tuple(blocks))))
-        choices.append(tuple(chosen))
-    return ConstituentPoset(tuple(elements), tuple(choices))
+    return ConstituentPoset(tuple(elements))
 
 
 def param_pair(rep) -> ParamPair:
@@ -272,8 +265,5 @@ def submodule_lattice(datum: InductionDatum) -> SubmoduleLattice:
     k = len(poset)
     sets = tuple(lower_sets(poset.leq, k))
     principal = tuple(frozenset(i for i in range(k) if poset.leq(i, j)) for j in range(k))
-    minimal = frozenset(j for j in range(k)
-                        if all(not poset.leq(i, j) for i in range(k) if i != j))
-    maximal = frozenset(j for j in range(k)
-                        if all(not poset.leq(j, i) for i in range(k) if i != j))
-    return SubmoduleLattice(poset, sets, principal, minimal, maximal)
+    # B_delta has one least element, every bit set, and one greatest, none set
+    return SubmoduleLattice(poset, sets, principal, frozenset({k - 1}), frozenset({0}))

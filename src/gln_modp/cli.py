@@ -518,8 +518,7 @@ def main(argv=None) -> int:
         job = _job_from_args(args)
         out = _open(args.out, "w") if args.out else None
     except SchemaError as exc:
-        print(json.dumps({"error": {"kind": "schema", "message": str(exc)}},
-                         sort_keys=True, indent=2))
+        _emit(sys.stdout, {"error": {"kind": "schema", "message": str(exc)}})
         return 2
     if out is None:
         return run(job, sys.stdout)

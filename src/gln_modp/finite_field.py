@@ -20,7 +20,10 @@ from itertools import product
 
 
 def _smallest_factor(n: int) -> int:
-    """The smallest prime factor of n >= 2, by trial division."""
+    """The smallest prime factor of 2 <= n < 2^32, by trial division: at most
+    65,536 divisors, so a larger n is refused instead of taking minutes."""
+    if n >= 1 << 32:
+        raise ValueError(f"{n} is too large to factor (at most 2^32 - 1)")
     d = 2
     while d * d <= n:
         if n % d == 0:

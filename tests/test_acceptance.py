@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp.finite_field import FqField
 from gln_modp.root_datum import (
@@ -152,6 +153,40 @@ def test_criterion_4_classification_counts():
     ok &= lengths == {2: 2, 3: 4, 4: 8}
     report(ok, "criterion 4: |constituents| = 2^delta over all compositions of "
                "n <= 5 with F_9 characters; trivial principal series lengths 2, 4, 8")
+
+
+F9_UNITS = tuple(FqField(3, 2).units())
+F9_CHARS = st.builds(SmoothCharacter, st.sampled_from(F9_UNITS), st.integers(0, 1), st.just(3))
+
+
+@st.composite
+def induction_data(draw):
+    """A datum over a composition of n <= 5 with F_9 characters.  Half the
+    Steinberg blocks that follow a Steinberg block repeat its twist, so runs
+    of equal twists, and hence delta > 0, are common."""
+    P = draw(st.sampled_from(all_parabolics(draw(st.integers(2, 5)))))
+    blocks = []
+    for size in P.composition:
+        eta = draw(F9_CHARS)
+        if size > 1 and draw(st.booleans()):
+            blocks.append(Supersingular(size, f"s{size}", eta))
+            continue
+        if blocks and isinstance(blocks[-1], Steinberg) and draw(st.booleans()):
+            eta = blocks[-1].eta
+        sub = draw(st.sets(st.integers(1, size - 1))) if size > 1 else ()
+        blocks.append(Steinberg(size, StandardParabolic.from_delta(size, sub), eta))
+    return InductionDatum(P, tuple(blocks))
+
+
+@given(induction_data())
+def test_criterion_4_property(d):
+    """Criterion 4 as a property: 2^delta pairwise distinct, valid
+    constituents sharing one eigenvalue pair."""
+    cp = constituents(d)
+    assert len(cp) == 2 ** delta(d)
+    assert len(set(cp.elements)) == len(cp)
+    assert {param_pair(r) for r in cp.elements} == {param_pair(d)}
+    assert all(validate(r.datum) for r in cp.elements)
 
 
 def _boolean_down_set_count(k):
@@ -297,3 +332,30 @@ def test_criterion_9_eigen_algebra():
                     checked += 1
     report(ok, "criterion 9: eigensystems multiplicative on 500 random triples; "
                f"weight-change test agrees with direct evaluation ({checked} cases)")
+
+
+@st.composite
+def eigen_products(draw):
+    """A weight of GL_2 or GL_3 over q = 3, a Levi with a compatible pair of
+    F_9 characters, and two T-basis elements of one to three terms with
+    coweight entries in [-3, 3] and nonzero F_9 coefficients."""
+    q, field = 3, FqField(3, 2)
+    n = draw(st.integers(2, 3))
+    V = make_weight(sorted(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+                           reverse=True), q)
+    M = draw(st.sampled_from(all_parabolics(n)))
+    pair = ParamPair(M, tuple(SmoothCharacter(draw(st.sampled_from(F9_UNITS)), t, q)
+                              for t in compatible_tame_exponents(V, M)))
+    coweights = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda lam: tuple(sorted(lam)))
+    elements = st.dictionaries(coweights, st.sampled_from(F9_UNITS), min_size=1, max_size=3)
+    x, y = (HeckeElement(V, "T", draw(elements), field) for _ in range(2))
+    return pair, x, y
+
+
+@given(eigen_products())
+def test_criterion_9_property(case):
+    """Criterion 9 as a property: evaluating an eigensystem is
+    multiplicative on products of T-basis elements."""
+    pair, x, y = case
+    assert eval_element(pair, multiply(x, y)) == eval_element(pair, x) * eval_element(pair, y)

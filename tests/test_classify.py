@@ -260,7 +260,9 @@ def test_chain_lattice_for_single_run():
     assert lat.count == 3  # lower sets of a 2-chain
 
 
-def test_random_family_counts_distinctness_shared_pair():
+def random_family():
+    """Three random data per standard parabolic of GL_n, n = 2..5, with F_9
+    characters: blocks of size > 1 are supersingular 40 % of the time."""
     rng = random.Random(9)
     for n in range(2, 6):
         for P in all_parabolics(n):
@@ -277,10 +279,53 @@ def test_random_family_counts_distinctness_shared_pair():
                         blocks.append(Steinberg(
                             size, StandardParabolic.from_delta(size, sub),
                             SmoothCharacter(rng.choice(UNITS), rng.randint(0, 1), Q)))
-                d = InductionDatum(P, tuple(blocks))
-                cp = constituents(d)
-                assert len(cp) == 2 ** delta(d)
-                assert len(set(cp.elements)) == len(cp)
-                assert {param_pair(r) for r in cp.elements} == {param_pair(d)}
-                for r in cp.elements:
-                    assert validate(r.datum)
+                yield InductionDatum(P, tuple(blocks))
+
+
+def test_random_family_counts_distinctness_shared_pair():
+    for d in random_family():
+        cp = constituents(d)
+        assert len(cp) == 2 ** delta(d)
+        assert len(set(cp.elements)) == len(cp)
+        assert {param_pair(r) for r in cp.elements} == {param_pair(d)}
+        for r in cp.elements:
+            assert validate(r.datum)
+
+
+def reference_order(cp):
+    """The choice order read from the constituents' data, not their indices:
+    i is below j when each Steinberg parabolic of i contains the one in the
+    same place of j (the merged runs sit in the same places in every
+    constituent)."""
+    chosen = [[blk.Q.delta for blk in r.datum.blocks if isinstance(blk, Steinberg)]
+              for r in cp.elements]
+    return lambda i, j: all(a >= b for a, b in zip(chosen[i], chosen[j]))
+
+
+def assert_order_matches_reference(datum):
+    lat = submodule_lattice(datum)
+    cp, k = lat.poset, len(lat.poset)
+    leq = reference_order(cp)
+    for j in range(k):
+        assert [cp.leq(i, j) for i in range(k)] == [leq(i, j) for i in range(k)]
+    assert lat.principal == tuple(frozenset(i for i in range(k) if leq(i, j))
+                                  for j in range(k))
+    # the exhaustive scans for minimal and maximal elements
+    assert lat.socle == frozenset(j for j in range(k)
+                                  if not any(leq(i, j) for i in range(k) if i != j))
+    assert lat.cosocle == frozenset(j for j in range(k)
+                                    if not any(leq(j, i) for i in range(k) if i != j))
+
+
+def test_bit_order_matches_the_order_of_the_chosen_parabolics():
+    for d in random_family():
+        assert_order_matches_reference(d)
+    one = trivial_character(F9, Q)
+    for n in range(2, 7):
+        assert_order_matches_reference(principal_series((one,) * n))
+    # two runs with free boundaries, split by a new twist or a supersingular block
+    assert_order_matches_reference(principal_series((ETA, ETA, ETA1, ETA1, ETA1)))
+    assert_order_matches_reference(InductionDatum(
+        StandardParabolic((1, 2, 2, 1, 1)),
+        (st1(ETA), Steinberg(2, StandardParabolic.full(2), ETA), Supersingular(2, "s", ETA),
+         st1(ETA2), st1(ETA2))))

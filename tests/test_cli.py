@@ -242,6 +242,20 @@ def test_derive_above_rank_5_is_refused_at_once():
     assert (code, json.loads(out), err) == (1, {"error": {"kind": "domain", "message": message}}, "")
 
 
+def test_huge_field_sizes_fail_fast():
+    # trial division is refused from 2^32 on, instead of running for minutes
+    weights = {"action": "regular", "nu": "0,0", "M": "1,1"}
+    start = time.perf_counter()
+    code, text = run_job({"command": "weights", "params": dict(weights, q=10 ** 18 + 3)})
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and json.loads(text)["error"]["kind"] == "domain"
+    start = time.perf_counter()
+    code, text = run_job({"command": "weights", "scalar_field": {"p": 2 ** 61 - 1},
+                          "params": dict(weights, q=3)})
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and json.loads(text)["error"]["kind"] == "schema"
+
+
 def test_error_paths():
     code, text = run_job({"command": "nope"})
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"

@@ -112,3 +112,14 @@ def test_primality_and_prime_radical():
         prime_radical(12)
     with pytest.raises(ValueError, match="^q must be >= 2$"):
         prime_radical(1)
+
+
+def test_trial_division_stops_below_2_to_the_32():
+    # 2^32 - 5 is the largest prime below 2^32: at most 65,536 trial divisors
+    assert is_prime(2 ** 32 - 5) and prime_radical(2 ** 32 - 5) == 2 ** 32 - 5
+    assert prime_radical(65521 ** 2) == 65521
+    for n in (2 ** 32, 2 ** 61 - 1, 10 ** 18 + 3):
+        with pytest.raises(ValueError, match=f"^{n} is too large to factor"):
+            is_prime(n)
+        with pytest.raises(ValueError, match=f"^{n} is too large to factor"):
+            prime_radical(n)
