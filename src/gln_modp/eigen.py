@@ -29,6 +29,11 @@ class SmoothCharacter:
     def __post_init__(self):
         if not self.unramified:
             raise ValueError("unramified part must be nonzero")
+        p, r = self.field.p, self.q
+        while r > 1 and r % p == 0:
+            r //= p
+        if r != 1 or self.q < p:
+            raise ValueError(f"q = {self.q} is not a positive power of the field's p = {p}")
         object.__setattr__(self, "tame_exponent", self.tame_exponent % (self.q - 1))
 
     @property

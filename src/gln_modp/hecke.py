@@ -28,6 +28,8 @@ scalars need roots of unity, so one scalar type serves both.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .finite_field import FqField, accumulate
 from .root_datum import (
     StandardParabolic, add, fundamental_antidominant_coweight, interval_above,
@@ -157,7 +159,8 @@ def double_support_claim(M: StandardParabolic, i: int, box: int) -> bool:
     lam is the i-th fundamental antidominant coweight.
 
     Together with the basis change this is why the tau expansion of T_{2 lam}
-    has exactly two terms with opposite signs.  Vectors whose coordinate sum
+    has exactly two terms with opposite signs.  The antidominant mu are the
+    sorted tuples of ``combinations_with_replacement``; those whose sum
     differs from sum(2*lam) satisfy both sides vacuously and are skipped.
 
     Acceptance criterion 3 checks through it a statement about the mod p
@@ -171,24 +174,6 @@ def double_support_claim(M: StandardParabolic, i: int, box: int) -> bool:
     lam2 = tuple(2 * v for v in fundamental_antidominant_coweight(n, i))
     target = add(lam2, simple_coroot(n, i))
     want = sum(lam2)
-
-    def scan(prefix, last, remaining):
-        k = n - len(prefix)
-        if k == 0:
-            if remaining == 0:
-                mu = tuple(prefix)
-                lhs = leq_M(lam2, mu, M)
-                rhs = mu == lam2 or leq_M(target, mu, M)
-                return lhs == rhs
-            return True
-        for v in range(last, box + 1):
-            rest = remaining - v
-            if rest < (k - 1) * v:
-                break
-            if rest > (k - 1) * box:
-                continue
-            if not scan(prefix + [v], v, rest):
-                return False
-        return True
-
-    return scan([], -box, want)
+    return all(leq_M(lam2, mu, M) == (mu == lam2 or leq_M(target, mu, M))
+               for mu in combinations_with_replacement(range(-box, box + 1), n)
+               if sum(mu) == want)

@@ -16,8 +16,10 @@ a union of Bruhat cells, and its verdict is that of the full scan.
 Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
 Lambda^k), built once per (n, q): the matrix of a group element on a
 construction is computed once and shared by its twists and by every gate.
-GL_n(F_q) is built row by row, as in the count of its order, and the same
-pass finds each kappa's Bruhat cell; determinants are Leibniz sums.
+GL_n(F_q) is built once, row by row as in the count of its order, and the
+same pass finds each kappa's Bruhat cell.  That one enumeration feeds the
+order gate, the minuscule gate (which reads the upper unitriangular group
+off it) and the double-coset gate.  Determinants are Leibniz sums.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, takewhile
 from math import prod
-from operator import getitem
+from operator import contains, getitem
 from types import MappingProxyType
 
 from .finite_field import is_prime
@@ -166,30 +168,6 @@ def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
     return fact(n) // denom
 
 
-def subspaces(n: int, q: int, k: int):
-    """All k-dimensional subspaces of F_q^n as canonical rref row bases."""
-    _require_prime(q)
-    out = []
-    for pivots in combinations(range(n), k):
-        free_slots = []
-        for r, c in enumerate(pivots):
-            free_slots.extend((r, j) for j in range(c + 1, n) if j not in pivots)
-        for vals in product(range(q), repeat=len(free_slots)):
-            M = [[0] * n for _ in range(k)]
-            for r, c in enumerate(pivots):
-                M[r][c] = 1
-            for (r, j), v in zip(free_slots, vals):
-                M[r][j] = v
-            out.append(tuple(tuple(r) for r in M))
-    return tuple(out)
-
-
-def _act_on_subspace(g, S, q):
-    rows = tuple(tuple(sum(g[i][j] * v[j] for j in range(len(v))) % q
-                       for i in range(len(g))) for v in S)
-    return rref(rows, q)[0]
-
-
 def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
     """Elementary generators E_ab(c), c over F_q^*, of the unipotent radical
     of P: the positions (a, b) above P's diagonal blocks, or below them for
@@ -209,35 +187,26 @@ def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
 
 
 def iwasawa_orbit_counts(n: int, q: int, i: int):
-    """Orbit sizes of the full upper unipotent group on the i-dimensional
-    subspaces, keyed by the coweight -1_S of the unique coordinate subspace
-    in each orbit.  Totals match the flag count; each size is a power of q."""
+    """Orbit sizes of the upper unitriangular group U on the i-dimensional
+    subspaces, keyed by the coweight -1_S of the coordinate subspace e_S in
+    each orbit.  U is read off ``gl_elements``, and the orbit of e_S is the
+    set of rref bases of the spans of the columns S of u over u in U.  Their
+    union has sum |orbit| = [n choose i]_q elements, so the orbits partition
+    the Grassmannian and each holds one coordinate subspace (Bruhat); each
+    size is a power of q."""
     _require_enumerable(n, q)
     if not 1 <= i <= n - 1:
         raise ValueError("index out of range")
-    gens = _radical_gens(StandardParabolic.torus(n), q)
-    remaining = set(subspaces(n, q, i))
-    counts = {}
-    while remaining:
-        start = next(iter(remaining))
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            S = frontier.pop()
-            for g in gens:
-                T = _act_on_subspace(g, S, q)
-                if T not in orbit:
-                    orbit.add(T)
-                    frontier.append(T)
-        remaining -= orbit
-        coord = [S for S in orbit
-                 if all(all(v in (0, 1) for v in row) and sum(row) == 1 for row in S)]
-        assert len(coord) == 1, "each orbit must contain one coordinate subspace"
-        pivots = {row.index(1) for row in coord[0]}
-        mu = tuple(-1 if j in pivots else 0 for j in range(n))
-        counts[mu] = len(orbit)
-    total = gaussian_factorial_ratio(n, (i, n - i), q)
-    assert sum(counts.values()) == total
+    # U: the elements whose row a is e_a plus entries right of the diagonal
+    rows = [{(0,) * a + (1,) + r for r in product(range(q), repeat=n - a - 1)}
+            for a in range(n)]
+    U = [u for u in gl_elements(n, q) if all(map(contains, rows, u))]
+    orbits = {tuple(-1 if j in S else 0 for j in range(n)):
+              {rref([[row[c] for row in u] for c in S], q)[0] for u in U}
+              for S in combinations(range(n), i)}
+    counts = {mu: len(orbit) for mu, orbit in orbits.items()}
+    total = len(set().union(*orbits.values()))
+    assert total == sum(counts.values()) == gaussian_factorial_ratio(n, (i, n - i), q)
     return counts
 
 
@@ -505,10 +474,13 @@ def _mono_mul(x, y):
 
 def check_iwahori_coset_count(n: int, q: int, i: int) -> bool:
     """Validate the one-sided coset pattern behind the spherical-vector
-    relation: the parameter family at slot i has exactly q^{n-i} members,
-    its members lie in distinct Iwahori cosets (the conjugated elementary
-    entries acquire valuation -1), and the slot sizes over all i sum to the
-    line-flag count."""
+    relation.  The parameter family at slot i is the identity with row i
+    set in columns i+1..n, one member per choice of those n - i entries
+    over F_q, so it has q^{n-i} members by definition.  The gate checks
+    that the slot operator is the expected monomial matrix, that the
+    members lie in distinct Iwahori cosets (the conjugated elementary
+    entries acquire valuation -1), and that the slot sizes over all i sum
+    to the line-flag count."""
     _require_prime(q)
     if not 1 <= i <= n:
         raise ValueError("index out of range")
@@ -523,18 +495,6 @@ def check_iwahori_coset_count(n: int, q: int, i: int) -> bool:
     sigma, d = mono
     # the product must be the expected monomial shape: column 1 -> row i
     if sigma[0] != i - 1 or d[0] != 1 or any(d[b] for b in range(1, n)):
-        return False
-
-    # parameter family: identity plus row i entries in columns i+1..n over F_q
-    family = set()
-    for vals in product(range(q), repeat=n - i):
-        u = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for off, v in enumerate(vals):
-            u[i - 1][i + off] = v
-        if any(any(u[r][c] for c in range(r)) for r in range(n)):
-            return False
-        family.add(tuple(tuple(r) for r in u))
-    if len(family) != q ** (n - i):
         return False
 
     # disjointness: conjugating a row-i elementary entry drops its valuation

@@ -307,7 +307,7 @@ def test_criterion_9_eigen_algebra():
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 lam = tuple(sorted(rng.randint(-3, 3) for _ in range(n)))
-                terms[lam] = F9(rng.randint(1, 8))
+                terms[lam] = rng.choice(units)
             return HeckeElement(V, "T", terms, F9)
         x, y = rand_elem(), rand_elem()
         ok &= eval_element(pair, multiply(x, y)) == eval_element(pair, x) * eval_element(pair, y)

@@ -256,6 +256,27 @@ def test_huge_field_sizes_fail_fast():
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"
 
 
+def test_character_over_the_wrong_characteristic_is_a_domain_error():
+    # q must be a positive power of the scalar field's characteristic p
+    pair = json.dumps({"M": [2], "chars": [{"unramified": "2", "tame": 0}]})
+    datum = json.dumps(trivial_ps_datum(2))
+    for argv in (["eigen", "eval-tau", "--q", "3", "--field", "5"],
+                 ["eigen", "eval-T", "--q", "3", "--field", "5"],
+                 ["eigen", "eval-tau", "--q", "6", "--field", "3"],
+                 ["eigen", "eval-tau", "--q", "1", "--field", "3"]):
+        code, out, err = _main_bytes(argv + ["--pair", pair, "--lam", "-1,-1"])
+        assert (code, json.loads(out)["error"]["kind"], err) == (1, "domain", ""), argv
+        assert "not a positive power" in out
+    code, out, _ = _main_bytes(["classify", "pair", "--q", "3", "--field", "7",
+                                "--datum", datum])
+    assert (code, json.loads(out)["error"]["kind"]) == (1, "domain")
+    # q = 9 over F_3 and over F_9 is a residue field of the right characteristic
+    for field, value in (("3", "2"), ("3,2", "2,0")):
+        code, out, _ = _main_bytes(["eigen", "eval-tau", "--q", "9", "--field", field,
+                                    "--pair", pair, "--lam", "-1,-1"])
+        assert (code, json.loads(out)) == (0, {"value": value})
+
+
 def test_error_paths():
     code, text = run_job({"command": "nope"})
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"

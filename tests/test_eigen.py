@@ -32,6 +32,17 @@ def test_smooth_character_normalization():
         SmoothCharacter(F9.zero, 0, Q)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 5, 6, 12, 18, -3])
+def test_smooth_character_needs_q_a_power_of_the_field_characteristic(q):
+    with pytest.raises(ValueError, match="not a positive power"):
+        SmoothCharacter(UNITS[1], 1, q)
+
+
+def test_smooth_character_accepts_every_power_of_the_field_characteristic():
+    for q in (3, 9, 27, 3 ** 20):
+        assert SmoothCharacter(UNITS[1], q, q).tame_exponent == 1
+
+
 def test_eval_tau_rules():
     pair = ParamPair(T2, chars(UNITS[1], UNITS[2]))
     assert eval_tau(pair, (-1, 0)) == UNITS[1]

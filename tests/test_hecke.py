@@ -11,8 +11,8 @@ from gln_modp.hecke import (
     satake_T_to_tau, satake_tau_to_T,
 )
 from gln_modp.root_datum import (
-    StandardParabolic, all_parabolics, fundamental_antidominant_coweight,
-    interval_above, leq_M,
+    StandardParabolic, add, all_parabolics, fundamental_antidominant_coweight,
+    interval_above, leq_M, simple_coroot,
 )
 from gln_modp.weights import make_weight
 
@@ -190,6 +190,54 @@ def test_double_support_claim_examples():
     assert double_support_claim(G3, 1, 3)
     with pytest.raises(ValueError):
         double_support_claim(StandardParabolic((2, 2)), 2, 3)
+
+
+def reference_double_support_claim(M, i, box):
+    """The claim over the weakly increasing vectors of [-box, box]^n with the
+    coordinate sum of 2*lam, built by a recursion pruned on the sum."""
+    n = M.n
+    if i not in M.delta:
+        raise ValueError(f"alpha_{i} is not a simple root of the Levi {M}")
+    lam2 = tuple(2 * v for v in fundamental_antidominant_coweight(n, i))
+    target = add(lam2, simple_coroot(n, i))
+
+    def scan(prefix, last, remaining):
+        k = n - len(prefix)
+        if k == 0:
+            if remaining == 0:
+                mu = tuple(prefix)
+                return leq_M(lam2, mu, M) == (mu == lam2 or leq_M(target, mu, M))
+            return True
+        for v in range(last, box + 1):
+            rest = remaining - v
+            if rest < (k - 1) * v:
+                break
+            if rest > (k - 1) * box:
+                continue
+            if not scan(prefix + [v], v, rest):
+                return False
+        return True
+
+    return scan([], -box, sum(lam2))
+
+
+def test_double_support_claim_matches_the_pruned_recursion():
+    # every Levi of GL_n for n <= 5, every i and every box up to 4, with
+    # the error for a root outside Delta_M
+    cases = 0
+    for n in range(2, 6):
+        for M in all_parabolics(n):
+            for i in range(1, n):
+                for box in range(5):
+                    outcomes = []
+                    for claim in (double_support_claim, reference_double_support_claim):
+                        try:
+                            outcomes.append(claim(M, i, box))
+                        except ValueError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1], (M, i, box)
+                    cases += 1
+    assert cases == 490
 
 
 def test_two_term_expansion_of_squares():

@@ -1,7 +1,7 @@
 import time
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -14,7 +14,7 @@ from gln_modp.oracle import (
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
-    invariant_space, iwasawa_orbit_counts, subspaces,
+    invariant_space, iwasawa_orbit_counts,
     rref, supported_weight_modules, sym_power_module, verify_gates,
 )
 from gln_modp.root_datum import StandardParabolic, all_parabolics
@@ -162,9 +162,72 @@ def test_flag_coset_counts():
     assert gaussian_factorial_ratio(3, B3.composition, 2) == 21
 
 
+def subspaces(n, q, k):
+    """All k-dimensional subspaces of F_q^n as canonical rref row bases,
+    built from the free slots right of each pivot set."""
+    out = []
+    for pivots in combinations(range(n), k):
+        free_slots = []
+        for r, c in enumerate(pivots):
+            free_slots.extend((r, j) for j in range(c + 1, n) if j not in pivots)
+        for vals in product(range(q), repeat=len(free_slots)):
+            M = [[0] * n for _ in range(k)]
+            for r, c in enumerate(pivots):
+                M[r][c] = 1
+            for (r, j), v in zip(free_slots, vals):
+                M[r][j] = v
+            out.append(tuple(tuple(r) for r in M))
+    return tuple(out)
+
+
+def act_on_subspace(g, S, q):
+    rows = tuple(tuple(sum(g[i][j] * v[j] for j in range(len(v))) % q
+                       for i in range(len(g))) for v in S)
+    return rref(rows, q)[0]
+
+
+def reference_orbit_counts(n, q, i):
+    """The U-orbits on the i-dimensional subspaces by breadth-first search
+    over the elementary generators, each orbit keyed by -1_S of its one
+    coordinate subspace e_S."""
+    gens = _radical_gens(StandardParabolic.torus(n), q)
+    remaining = set(subspaces(n, q, i))
+    counts = {}
+    while remaining:
+        start = next(iter(remaining))
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            S = frontier.pop()
+            for g in gens:
+                T = act_on_subspace(g, S, q)
+                if T not in orbit:
+                    orbit.add(T)
+                    frontier.append(T)
+        remaining -= orbit
+        coord = [S for S in orbit
+                 if all(all(v in (0, 1) for v in row) and sum(row) == 1 for row in S)]
+        assert len(coord) == 1, "each orbit must contain one coordinate subspace"
+        pivots = {row.index(1) for row in coord[0]}
+        counts[tuple(-1 if j in pivots else 0 for j in range(n))] = len(orbit)
+    return counts
+
+
+ORBIT_CASES = [(n, q, i) for n, q in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]
+               for i in range(1, n)]
+
+
 def test_subspace_counts():
     assert len(subspaces(4, 2, 2)) == 35
     assert len(subspaces(3, 3, 1)) == 13
+
+
+@pytest.mark.parametrize("n, q, i", ORBIT_CASES)
+def test_orbit_counts_read_off_the_group_match_the_orbit_search(n, q, i):
+    # U taken from gl_elements gives the orbits the generator search finds,
+    # and the Grassmannian has [n choose i]_q elements
+    assert gaussian_factorial_ratio(n, (i, n - i), q) == len(subspaces(n, q, i))
+    assert iwasawa_orbit_counts(n, q, i) == reference_orbit_counts(n, q, i)
 
 
 def test_iwasawa_orbit_counts():
