@@ -475,9 +475,6 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
         _accumulate(out, key, -1, p)
         return out
 
-    def op_name(j: int) -> str:
-        return "".join(f"S_{k}" for k in range(j, n)) + "Π"
-
     # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0,
     # where l(S_{j..(n-1)} Pi) = n - j
     rel = {(n - j, z_ops[j]): 1 for j in range(1, n + 1)}
@@ -501,8 +498,8 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
             engine.add_relation({zv: 1})
 
             # trace in the shape of the step-by-step hand computation
-            name = op_name(i)
-            tail = " - ".join(f"{op_name(j)}v" for j in range(i + 1, n + 1))
+            name = render_word(z)
+            tail = " - ".join(f"{render_word(z_ops[j])}v" for j in range(i + 1, n + 1))
             line1 = f"({name})²v = {name}(v - {tail})"
             cross, all_die = [], True
             for j in range(i + 1, n + 1):

@@ -18,8 +18,9 @@ Lambda^k), built once per (n, q): the matrix of a group element on a
 construction is computed once and shared by its twists and by every gate.
 GL_n(F_q) is built once, row by row as in the count of its order, and the
 same pass finds each kappa's Bruhat cell.  That one enumeration feeds the
-order gate, the minuscule gate (which reads the upper unitriangular group
-off it) and the double-coset gate.  Determinants are Leibniz sums.
+order gate, the minuscule and Iwahori gates (which read the orbits of the
+upper unitriangular group off it) and the double-coset gate.  Determinants
+are Leibniz sums.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from math import prod
 from operator import contains, getitem
 from types import MappingProxyType
 
-from .finite_field import is_prime
-from .root_datum import StandardParabolic, all_parabolics, stab_levi
+from .finite_field import FqField, is_prime
+from .hecke import basis_element, satake_T_to_tau
+from .root_datum import (
+    StandardParabolic, all_parabolics, fundamental_antidominant_coweight, stab_levi)
 from .weights import make_weight, is_M_regular
 
 SIZE_GUARD = 10 ** 6
@@ -169,21 +172,19 @@ def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
 
 
 def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
-    """Elementary generators E_ab(c), c over F_q^*, of the unipotent radical
-    of P: the positions (a, b) above P's diagonal blocks, or below them for
-    the opposite radical when not ``upper``, row by row.  The radical of the
-    Borel, P = torus, is the full upper unipotent group."""
+    """Elementary generators E_ab(1) of the unipotent radical of P: the
+    positions (a, b) above P's diagonal blocks, or below them for the
+    opposite radical when not ``upper``, row by row.  At prime q,
+    E_ab(c) = E_ab(1)^c, so these generate the radical and share its joint
+    fixed space and its span{(g - 1)v}; q = p^f would need c over an
+    F_p-basis of F_q.  The radical of the Borel, P = torus, is the full
+    upper unipotent group."""
     n = P.n
     block = [P.block_of(j + 1) for j in range(n)]
-    gens = []
-    for a in range(n):
-        for b in range(n):
-            if block[a] < block[b] if upper else block[a] > block[b]:
-                for c in range(1, q):
-                    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                    g[a][b] = c
-                    gens.append(tuple(tuple(r) for r in g))
-    return gens
+    return [tuple(tuple(int(i == j or (i, j) == (a, b)) for j in range(n))
+                  for i in range(n))
+            for a in range(n) for b in range(n)
+            if (block[a] < block[b] if upper else block[a] > block[b])]
 
 
 def iwasawa_orbit_counts(n: int, q: int, i: int):
@@ -214,10 +215,6 @@ def check_minuscule_satake(n: int, q: int, i: int) -> bool:
     """Reduce the orbit counts mod p and compare with the two-basis change:
     the only nonzero residue must be 1 at the antidominant key, matching the
     single-term expansion of the corresponding T-basis element."""
-    from .finite_field import FqField
-    from .hecke import basis_element, satake_T_to_tau
-    from .root_datum import fundamental_antidominant_coweight
-
     counts = iwasawa_orbit_counts(n, q, i)
     lam = fundamental_antidominant_coweight(n, i)
     for mu, size in counts.items():
@@ -460,54 +457,18 @@ def _support_failures(n: int, q: int, nu, P: StandardParabolic,
             yield kappa
 
 
-# -- Iwahori-level coset pattern ---------------------------------------------
-
-def _mono_mul(x, y):
-    """Product of monomial matrices with uniformizer valuations: apply y then
-    x; each is (sigma, d) with column b mapping to row sigma[b], valuation d[b]."""
-    sx, dx = x
-    sy, dy = y
-    sigma = tuple(sx[sy[b]] for b in range(len(sx)))
-    d = tuple(dy[b] + dx[sy[b]] for b in range(len(sx)))
-    return sigma, d
-
+# -- Iwahori-level coset count -----------------------------------------------
 
 def check_iwahori_coset_count(n: int, q: int, i: int) -> bool:
-    """Validate the one-sided coset pattern behind the spherical-vector
-    relation.  The parameter family at slot i is the identity with row i
-    set in columns i+1..n, one member per choice of those n - i entries
-    over F_q, so it has q^{n-i} members by definition.  The gate checks
-    that the slot operator is the expected monomial matrix, that the
-    members lie in distinct Iwahori cosets (the conjugated elementary
-    entries acquire valuation -1), and that the slot sizes over all i sum
-    to the line-flag count."""
-    _require_prime(q)
+    """Count the Iwahori cosets in slot i of the spherical-vector relation
+    v = sum_i S_i...S_(n-1) Pi v.  Reduced mod the uniformizer they are the
+    U-orbit of the line e_(n-i+1) in P^(n-1), read off the enumerated group
+    by ``iwasawa_orbit_counts``, and slot i must hold q^(n-i) of them.  That
+    call asserts the orbits partition the [n]_q lines, so the slots do too."""
     if not 1 <= i <= n:
         raise ValueError("index out of range")
-    # monomial matrix of the slot operator: simple reflections then rotation
-    mono = (tuple(range(n)), (0,) * n)
-    for k in range(i, n):
-        perm = list(range(n))
-        perm[k - 1], perm[k] = perm[k], perm[k - 1]
-        mono = _mono_mul(mono, (tuple(perm), (0,) * n))
-    rot = (tuple([n - 1] + list(range(n - 1))), (1,) + (0,) * (n - 1))
-    mono = _mono_mul(mono, rot)
-    sigma, d = mono
-    # the product must be the expected monomial shape: column 1 -> row i
-    if sigma[0] != i - 1 or d[0] != 1 or any(d[b] for b in range(1, n)):
-        return False
-
-    # disjointness: conjugating a row-i elementary entry drops its valuation
-    inv_sigma = [0] * n
-    for b, r in enumerate(sigma):
-        inv_sigma[r] = b
-    for j in range(i, n):  # columns i+1..n, zero-based j
-        v = d[inv_sigma[j]] - d[inv_sigma[i - 1]]
-        if v > -1:
-            return False
-
-    total = sum(q ** (n - k) for k in range(1, n + 1))
-    return total == gaussian_factorial_ratio(n, (1, n - 1), q)
+    mu = tuple(-1 if j == n - i else 0 for j in range(n))
+    return iwasawa_orbit_counts(n, q, 1)[mu] == q ** (n - i)
 
 
 # -- umbrella ------------------------------------------------------------------
@@ -522,7 +483,7 @@ def verify_gates(max_n: int, max_q: int):
     primes = [q for q in small if is_prime(q)]
     for n in takewhile(lambda n: not _too_large(n, 2), range(2, max_n + 1)):
         for q in takewhile(lambda q: not _too_large(n, q), primes):
-            assert len(gl_elements(n, q)) == group_order_formula(n, q)
+            gl_elements(n, q)  # asserts |G| = group_order_formula(n, q)
             report["order"].append({"n": n, "q": q, "ok": True})
             for i in range(1, n):
                 ok = check_minuscule_satake(n, q, i)

@@ -90,6 +90,7 @@ def test_operator_windows_are_word_products():
                 x = group_mul(x, simple(n, k))
             x = group_mul(x, rotation(n))
             assert x == _operator_window(n, j)
+            assert _length(x) == n - j
             assert not has_finite_descent(x)
 
 

@@ -110,7 +110,7 @@ def test_radical_gens_generate_the_unipotent_radicals():
         for P in all_parabolics(n):
             for upper in (True, False):
                 gens = _radical_gens(P, q, upper)
-                assert len(gens) == len(crossing_positions(P, upper)) * (q - 1)
+                assert len(gens) == len(crossing_positions(P, upper))
                 assert group_closure(gens, n, q) == radical_elements(n, q, P, upper)
 
 
@@ -492,6 +492,35 @@ def test_restricted_scan_reports_the_full_scan_failures():
 def test_iwahori_coset_counts():
     assert check_iwahori_coset_count(2, 3, 1)
     assert check_iwahori_coset_count(3, 2, 1)
-    assert check_iwahori_coset_count(3, 2, 3)   # empty parameter row
+    assert check_iwahori_coset_count(3, 2, 3)   # the line e_1, a fixed point
     assert check_iwahori_coset_count(4, 2, 2)
     assert check_iwahori_coset_count(3, 3, 2)
+
+
+def reference_slot_size(n, q, i):
+    """The lines of F_q^n whose last nonzero coordinate is n - i + 1,
+    counted from every vector: each line has q - 1 nonzero vectors."""
+    last = n - i
+    vectors = sum(1 for v in product(range(q), repeat=n)
+                  if v[last] and not any(v[last + 1:]))
+    assert vectors % (q - 1) == 0
+    return vectors // (q - 1)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_iwahori_slot_sizes_match_a_line_count(n, q):
+    # slot i's cosets are the U-orbit of the line e_(n-i+1)
+    for i in range(1, n + 1):
+        mu = tuple(-1 if j == n - i else 0 for j in range(n))
+        assert iwasawa_orbit_counts(n, q, 1)[mu] == reference_slot_size(n, q, i)
+        assert check_iwahori_coset_count(n, q, i)
+
+
+def test_iwahori_gate_guards():
+    with pytest.raises(ValueError, match="enumeration guard"):
+        check_iwahori_coset_count(4, 3, 1)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="index out of range"):
+            check_iwahori_coset_count(2, 3, i)
+    with pytest.raises(ValueError):
+        check_iwahori_coset_count(1, 2, 1)
