@@ -11,13 +11,14 @@ A job can also be supplied whole as JSON via --json-in; the scalar field is
 taken from the job, from --field p[,m[,c0,..,cm]], or from the environment
 variable GLN_MODP_FIELD, in that order.
 
-Exit codes: 0 success, 1 domain error (structured error JSON), 2 schema or
-usage error.
+Exit codes: 0 success; 1 a domain error (structured error JSON) or a failed
+check (its report, with "ok": false); 2 a schema or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -97,11 +98,10 @@ def parse_field_text(text: str) -> dict:
         parts = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise SchemaError(f"bad scalar field {text!r}, expected p[,m[,c0,..,cm]]") from exc
-    if len(parts) == 1:
-        return {"p": parts[0]}
-    if len(parts) == 2:
-        return {"p": parts[0], "m": parts[1]}
-    return {"p": parts[0], "m": parts[1], "modulus": parts[2:]}
+    spec = dict(zip(("p", "m"), parts))
+    if len(parts) > 2:
+        spec["modulus"] = parts[2:]
+    return spec
 
 
 def _resolve_field(job) -> FqField:
@@ -172,9 +172,15 @@ def _datum_json(datum: cls.InductionDatum) -> dict:
             "blocks": [_block_json(b) for b in datum.blocks]}
 
 
-def _emit(out, obj) -> None:
-    out.write(json.dumps(obj, sort_keys=True, indent=2))
-    out.write("\n")
+def _emit(out, result) -> None:
+    out.write(result if isinstance(result, str)
+              else json.dumps(result, sort_keys=True, indent=2) + "\n")
+
+
+def _fail(out, kind: str, message: str, **extra) -> int:
+    """Write error JSON; a schema error exits 2, a domain error 1."""
+    _emit(out, {"error": {"kind": kind, "message": message}, **extra})
+    return 2 if kind == "schema" else 1
 
 
 def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
@@ -202,7 +208,7 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
 
 # -- command handlers ---------------------------------------------------------
 
-def _cmd_satake(params, field, out):
+def _cmd_satake(params, field):
     # a non-integer n still raises here; the fix is parked under ROADMAP
     # item 1, because perfbench's injected-failure test relies on it
     n, q = int(params["n"]), _int(params["q"], "q")
@@ -215,106 +221,97 @@ def _cmd_satake(params, field, out):
         raise SchemaError(f"unknown basis tag {basis!r}")
     elem = hk.basis_element(V, basis, lam, field)
     res = hk.satake_T_to_tau(elem) if basis == "T" else hk.satake_tau_to_T(elem)
-    _emit(out, {
+    return {
         "weight": {"nu": ",".join(map(str, V.nu)), "q": q},
         "basis": res.basis,
         "terms": {",".join(map(str, k)): str(c) for k, c in res.terms.items()},
-    })
-    return 0
+    }
 
 
-def _cmd_weights(params, field, out):
+def _cmd_weights(params, field):
     action = params.get("action")
     q = _int(params["q"], "q")
     if action == "restrict":
         V = make_weight(_vec(params["nu"]), q)
         res = restrict_to_levi(V, _comp(params["P"]))
-        _emit(out, {"M": list(res.M.composition), "nu": ",".join(map(str, res.nu))})
-    elif action == "cover":
+        return {"M": list(res.M.composition), "nu": ",".join(map(str, res.nu))}
+    if action == "cover":
         Vbar = make_levi_weight(_comp(params["M"]), _vec(params["nu"]), q)
         res = regular_cover(Vbar)
-        _emit(out, {"nu": ",".join(map(str, res.nu))})
-    elif action == "partner":
+        return {"nu": ",".join(map(str, res.nu))}
+    if action == "partner":
         V = make_weight(_vec(params["nu"]), q)
         res = weight_partner_for_change(V, _int(params["i"], "i"))
-        _emit(out, {"nu": ",".join(map(str, res.nu))})
-    elif action == "regular":
+        return {"nu": ",".join(map(str, res.nu))}
+    if action == "regular":
         V = make_weight(_vec(params["nu"]), q)
-        _emit(out, {"regular": is_M_regular(V, _comp(params["M"]))})
-    else:
-        raise SchemaError(f"unknown weights action {action!r}")
-    return 0
+        return {"regular": is_M_regular(V, _comp(params["M"]))}
+    raise SchemaError(f"unknown weights action {action!r}")
 
 
-def _cmd_eigen(params, field, out):
+def _cmd_eigen(params, field):
     action = params.get("action")
     q = _int(params["q"], "q")
     pair = _pair(field, q, params["pair"])
     if action == "eval-tau":
         val = eig.eval_tau(pair, _vec(params["lam"]))
-        _emit(out, {"value": str(val)})
-    elif action == "eval-T":
+        return {"value": str(val)}
+    if action == "eval-T":
         V = make_weight(_vec(params["nu"]), q)
         val = eig.eval_T(pair, _vec(params["lam"]), V)
-        _emit(out, {"value": str(val)})
-    elif action == "supersingular":
-        _emit(out, {"supersingular": eig.is_supersingular(pair)})
-    elif action == "factors":
-        _emit(out, {"factors": eig.factors_through(pair, _comp(params["L"]))})
-    elif action == "twist":
+        return {"value": str(val)}
+    if action == "supersingular":
+        return {"supersingular": eig.is_supersingular(pair)}
+    if action == "factors":
+        return {"factors": eig.factors_through(pair, _comp(params["L"]))}
+    if action == "twist":
         res = eig.twist(pair, _char(field, q, params["eta"]))
-        _emit(out, {"M": list(res.M.composition),
-                    "chars": [_char_json(c) for c in res.chars]})
-    elif action == "applicable":
+        return {"M": list(res.M.composition),
+                "chars": [_char_json(c) for c in res.chars]}
+    if action == "applicable":
         V = make_weight(_vec(params["nu"]), q)
         ok = eig.change_of_weight_applicable(V, _int(params["i"], "i"), pair)
-        _emit(out, {"applicable": ok})
-    else:
-        raise SchemaError(f"unknown eigen action {action!r}")
-    return 0
+        return {"applicable": ok}
+    raise SchemaError(f"unknown eigen action {action!r}")
 
 
-def _cmd_classify(params, field, out):
+def _cmd_classify(params, field):
     action = params.get("action", "constituents")
     q = _int(params["q"], "q")
     datum = _datum(field, q, params["datum"])
     if action == "validate":
-        _emit(out, {"valid": cls.validate(datum), "delta": cls.delta(datum)})
-    elif action == "constituents":
+        return {"valid": cls.validate(datum), "delta": cls.delta(datum)}
+    if action == "constituents":
         poset = cls.constituents(datum)
-        _emit(out, {
+        return {
             "count": len(poset),
             "delta": cls.delta(datum),
             "constituents": [_datum_json(r.datum) for r in poset.elements],
-        })
-    elif action == "pair":
+        }
+    if action == "pair":
         pair = cls.param_pair(datum)
-        _emit(out, {"M": list(pair.M.composition),
-                    "chars": [_char_json(c) for c in pair.chars]})
-    else:
-        raise SchemaError(f"unknown classify action {action!r}")
-    return 0
+        return {"M": list(pair.M.composition),
+                "chars": [_char_json(c) for c in pair.chars]}
+    raise SchemaError(f"unknown classify action {action!r}")
 
 
-def _cmd_lattice(params, field, out):
+def _cmd_lattice(params, field):
     q = _int(params["q"], "q")
     datum = _datum(field, q, params["datum"])
     lattice = cls.submodule_lattice(datum)
     if params.get("dot"):
-        out.write(export_lattice_dot(lattice))
-        return 0
-    _emit(out, {
+        return export_lattice_dot(lattice)
+    return {
         "constituents": [_datum_json(r.datum) for r in lattice.poset.elements],
         "lower_set_count": lattice.count,
         "lower_sets": [sorted(s) for s in lattice.sets],
         "principal": [sorted(s) for s in lattice.principal],
         "socle": sorted(lattice.socle),
         "cosocle": sorted(lattice.cosocle),
-    })
-    return 0
+    }
 
 
-def _cmd_hecke0(params, field, out):
+def _cmd_hecke0(params, field):
     action = params.get("action")
     n = _int(params["n"], "n")
     if action == "verify":
@@ -326,21 +323,16 @@ def _cmd_hecke0(params, field, out):
         }
         res["ok"] = (res["braid_and_rotation"] and res["word_shift"]
                      and all(res["translation_powers"].values()))
-        _emit(out, res)
-        return 0 if res["ok"] else 1
+        return res
     if action == "derive":
         cap = {"length_cap": _int(params["cap"], "cap")} if "cap" in params else {}
-        report = h0.derive_rotation_invariance(n, field=field, **cap)
-        _emit(out, report.to_json())
-        return 0
+        return h0.derive_rotation_invariance(n, field=field, **cap).to_json()
     raise SchemaError(f"unknown hecke0 action {action!r}")
 
 
-def _cmd_verify(params, field, out):
-    report = orc.verify_gates(_int(params.get("max_n", 3), "max_n"),
-                              _int(params.get("max_q", 3), "max_q"))
-    _emit(out, report)
-    return 0 if report["ok"] else 1
+def _cmd_verify(params, field):
+    return orc.verify_gates(_int(params.get("max_n", 3), "max_n"),
+                            _int(params.get("max_q", 3), "max_q"))
 
 
 _HANDLERS = {
@@ -355,7 +347,8 @@ _HANDLERS = {
 
 
 def run(job, out) -> int:
-    """Execute a JSON job spec; deterministic output, structured errors."""
+    """Execute a JSON job spec and write its result: deterministic output,
+    structured errors.  A failed check (``"ok": false``) exits 1."""
     try:
         if not isinstance(job, dict):
             raise SchemaError("job must be a JSON object")
@@ -366,20 +359,17 @@ def run(job, out) -> int:
         if not isinstance(params, dict):
             raise SchemaError("params must be a JSON object")
         field = _resolve_field(job)
-        return _HANDLERS[command](params, field, out)
+        result = _HANDLERS[command](params, field)
     except SchemaError as exc:
-        _emit(out, {"error": {"kind": "schema", "message": str(exc)}})
-        return 2
-    except (KeyError,) as exc:
-        _emit(out, {"error": {"kind": "schema", "message": f"missing parameter {exc}"}})
-        return 2
+        return _fail(out, "schema", str(exc))
+    except KeyError as exc:
+        return _fail(out, "schema", f"missing parameter {exc}")
     except h0.DerivationCapExceeded as exc:
-        _emit(out, {"error": {"kind": "domain", "message": str(exc)},
-                    "report": exc.report.to_json()})
-        return 1
+        return _fail(out, "domain", str(exc), report=exc.report.to_json())
     except (ValueError, ZeroDivisionError) as exc:
-        _emit(out, {"error": {"kind": "domain", "message": str(exc)}})
-        return 1
+        return _fail(out, "domain", str(exc))
+    _emit(out, result)
+    return 1 if isinstance(result, dict) and result.get("ok") is False else 0
 
 
 def _add_common(sub):
@@ -474,11 +464,8 @@ def _job_from_args(args) -> dict:
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"{args.json_in!r} is not UTF-8 text: {exc.reason}") from exc
     else:
-        params = {}
-        for key, value in vars(args).items():
-            if key in ("command", "json_in", "out", "field") or value is None:
-                continue
-            params[key] = value
+        params = {key: value for key, value in vars(args).items()
+                  if value is not None and key not in ("command", "json_in", "out", "field")}
         for key in ("pair", "datum", "eta"):
             if key in params and isinstance(params[key], str):
                 try:
@@ -518,12 +505,9 @@ def main(argv=None) -> int:
         job = _job_from_args(args)
         out = _open(args.out, "w") if args.out else None
     except SchemaError as exc:
-        _emit(sys.stdout, {"error": {"kind": "schema", "message": str(exc)}})
-        return 2
-    if out is None:
-        return run(job, sys.stdout)
-    with out:
-        return run(job, out)
+        return _fail(sys.stdout, "schema", str(exc))
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        return run(job, stream)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ from functools import lru_cache
 from itertools import product
 
 
+@lru_cache(maxsize=64)
 def _smallest_factor(n: int) -> int:
     """The smallest prime factor of 2 <= n < 2^32, by trial division: at most
-    65,536 divisors, so a larger n is refused instead of taking minutes."""
+    65,536 divisors, so a larger n is refused instead of taking minutes.
+    Cached: the CLI, ``FqField`` and ``WeightClass`` factor a job's q once."""
     if n >= 1 << 32:
         raise ValueError(f"{n} is too large to factor (at most 2^32 - 1)")
     d = 2

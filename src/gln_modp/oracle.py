@@ -171,7 +171,7 @@ def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
     return fact(n) // denom
 
 
-def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
+def _radical_gens(P: StandardParabolic, upper: bool = True):
     """Elementary generators E_ab(1) of the unipotent radical of P: the
     positions (a, b) above P's diagonal blocks, or below them for the
     opposite radical when not ``upper``, row by row.  At prime q,
@@ -187,28 +187,30 @@ def _radical_gens(P: StandardParabolic, q: int, upper: bool = True):
             if (block[a] < block[b] if upper else block[a] > block[b])]
 
 
+@lru_cache(maxsize=_CACHED_GROUPS)
 def iwasawa_orbit_counts(n: int, q: int, i: int):
     """Orbit sizes of the upper unitriangular group U on the i-dimensional
-    subspaces, keyed by the coweight -1_S of the coordinate subspace e_S in
-    each orbit.  U is read off ``gl_elements``, and the orbit of e_S is the
-    set of rref bases of the spans of the columns S of u over u in U.  Their
-    union has sum |orbit| = [n choose i]_q elements, so the orbits partition
-    the Grassmannian and each holds one coordinate subspace (Bruhat); each
-    size is a power of q."""
+    subspaces, a read-only map keyed by the coweight -1_S of the coordinate
+    subspace e_S in each orbit.  U is read off the identity Bruhat cell
+    Bbar B, which contains B, and the orbit of e_S is the set of rref bases
+    of the spans of the columns S of u over u in U.  Their union has
+    sum |orbit| = [n choose i]_q elements, so the orbits partition the
+    Grassmannian and each holds one coordinate subspace (Bruhat); each size
+    is a power of q."""
     _require_enumerable(n, q)
     if not 1 <= i <= n - 1:
         raise ValueError("index out of range")
     # U: the elements whose row a is e_a plus entries right of the diagonal
     rows = [{(0,) * a + (1,) + r for r in product(range(q), repeat=n - a - 1)}
             for a in range(n)]
-    U = [u for u in gl_elements(n, q) if all(map(contains, rows, u))]
+    U = [u for u in _bruhat_cells(n, q)[tuple(range(n))] if all(map(contains, rows, u))]
     orbits = {tuple(-1 if j in S else 0 for j in range(n)):
               {rref([[row[c] for row in u] for c in S], q)[0] for u in U}
               for S in combinations(range(n), i)}
     counts = {mu: len(orbit) for mu, orbit in orbits.items()}
     total = len(set().union(*orbits.values()))
     assert total == sum(counts.values()) == gaussian_factorial_ratio(n, (i, n - i), q)
-    return counts
+    return MappingProxyType(counts)
 
 
 def check_minuscule_satake(n: int, q: int, i: int) -> bool:
@@ -373,8 +375,8 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     sum of the graded pieces congruent to nu modulo the block root lattice."""
     mod = _module(n, q, nu)
 
-    inv = invariant_space(mod, _radical_gens(P, q))
-    K, piv = coinvariant_kernel(mod, _radical_gens(P, q, upper=False))
+    inv = invariant_space(mod, _radical_gens(P))
+    K, piv = coinvariant_kernel(mod, _radical_gens(P, upper=False))
     if len(inv) != mod.dim - len(K):
         return False
     reduced = [_reduce_mod(K, piv, v, q) for v in inv]
@@ -382,7 +384,7 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
         return False
 
     # full-unipotent invariants: one line, carrying the character of nu
-    inv_U = invariant_space(mod, _radical_gens(StandardParabolic.torus(n), q))
+    inv_U = invariant_space(mod, _radical_gens(StandardParabolic.torus(n)))
     if len(inv_U) != 1:
         return False
     w = inv_U[0]
@@ -448,8 +450,8 @@ def _support_failures(n: int, q: int, nu, P: StandardParabolic,
     and cell by cell in the order of ``_bruhat_cells``: the support gate
     without its regularity hypothesis."""
     mod = _module(n, q, nu)
-    inv = invariant_space(mod, _radical_gens(P, q))
-    K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
+    inv = invariant_space(mod, _radical_gens(P))
+    K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
 
     off = (cell for w, cell in _bruhat_cells(n, q).items() if not in_big_cell(w, Q, P))
     for kappa in chain.from_iterable(off):
@@ -479,34 +481,31 @@ def verify_gates(max_n: int, max_q: int):
     q, so both scans stop at the first pair it refuses."""
     report = {"order": [], "minuscule": [], "iwahori": [],
               "invariants": [], "double_coset": [], "ok": True}
+
+    def record(gate, ok, **key):
+        # one verdict at the loops' current (n, q)
+        report[gate].append({"n": n, "q": q, **key, "ok": ok})
+        report["ok"] &= ok
+
     small = takewhile(lambda q: not _too_large(2, q), range(2, max_q + 1))
     primes = [q for q in small if is_prime(q)]
     for n in takewhile(lambda n: not _too_large(n, 2), range(2, max_n + 1)):
         for q in takewhile(lambda q: not _too_large(n, q), primes):
             gl_elements(n, q)  # asserts |G| = group_order_formula(n, q)
-            report["order"].append({"n": n, "q": q, "ok": True})
+            record("order", True)
             for i in range(1, n):
-                ok = check_minuscule_satake(n, q, i)
-                report["minuscule"].append({"n": n, "q": q, "i": i, "ok": ok})
-                report["ok"] &= ok
+                record("minuscule", check_minuscule_satake(n, q, i), i=i)
             for i in range(1, n + 1):
-                ok = check_iwahori_coset_count(n, q, i)
-                report["iwahori"].append({"n": n, "q": q, "i": i, "ok": ok})
-                report["ok"] &= ok
+                record("iwahori", check_iwahori_coset_count(n, q, i), i=i)
             mods = supported_weight_modules(n, q)
             for nu in sorted(mods):
                 for P in all_parabolics(n):
-                    ok = check_invariants_coinvariants(n, q, nu, P)
-                    report["invariants"].append(
-                        {"n": n, "q": q, "nu": list(nu), "P": list(P.composition), "ok": ok})
-                    report["ok"] &= ok
+                    record("invariants", check_invariants_coinvariants(n, q, nu, P),
+                           nu=list(nu), P=list(P.composition))
                 V = make_weight(nu, q)
                 for P in all_parabolics(n):
                     for Q in all_parabolics(n):
                         if _support_hypothesis(V, P, Q):
-                            ok = check_double_coset_support(n, q, nu, P, Q)
-                            report["double_coset"].append(
-                                {"n": n, "q": q, "nu": list(nu),
-                                 "P": list(P.composition), "Q": list(Q.composition), "ok": ok})
-                            report["ok"] &= ok
+                            record("double_coset", check_double_coset_support(n, q, nu, P, Q),
+                                   nu=list(nu), P=list(P.composition), Q=list(Q.composition))
     return report

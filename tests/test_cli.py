@@ -8,11 +8,11 @@ import time
 
 import pytest
 
-from gln_modp import cli
+from gln_modp import cli, hecke0, oracle
 from gln_modp.cli import export_lattice_dot, main, run
 from gln_modp.classify import InductionDatum, Steinberg, Supersingular, submodule_lattice
 from gln_modp.eigen import trivial_character
-from gln_modp.finite_field import FqField
+from gln_modp.finite_field import FqField, _smallest_factor
 from gln_modp.root_datum import StandardParabolic
 
 
@@ -256,6 +256,15 @@ def test_huge_field_sizes_fail_fast():
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"
 
 
+def test_one_job_factors_its_q_once():
+    # the CLI's field, FqField and WeightClass share one trial division of q
+    _smallest_factor.cache_clear()
+    code, text = run_job({"command": "weights", "params": {
+        "action": "regular", "q": 4_294_967_291, "nu": "0,0", "M": "1,1"}})
+    assert (code, json.loads(text)) == (0, {"regular": False})
+    assert _smallest_factor.cache_info().misses == 1
+
+
 def test_character_over_the_wrong_characteristic_is_a_domain_error():
     # q must be a positive power of the scalar field's characteristic p
     pair = json.dumps({"M": [2], "chars": [{"unramified": "2", "tame": 0}]})
@@ -316,6 +325,80 @@ def test_verify_output_is_pinned(max_n, max_q):
     code, text = run_job({"command": "verify", "params": {"max_n": max_n, "max_q": max_q}})
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PINS[max_n, max_q]
+
+
+def test_a_failed_check_exits_1_and_prints_its_report(monkeypatch):
+    # no check fails on correct code, so one of each command is made to fail
+    monkeypatch.setattr(hecke0, "verify_word_shift_identity", lambda n: False)
+    monkeypatch.setattr(oracle, "check_iwahori_coset_count", lambda n, q, i: False)
+    code, text = run_job({"command": "hecke0", "params": {"action": "verify", "n": 3}})
+    report = json.loads(text)
+    assert (code, report["ok"], report["word_shift"]) == (1, False, False)
+    assert report["braid_and_rotation"] is True
+    assert _main_bytes(["hecke0", "verify", "--n", "3"]) == (1, text, "")
+    code, text = run_job({"command": "verify", "params": {"max_n": 2, "max_q": 2}})
+    report = json.loads(text)
+    assert (code, report["ok"]) == (1, False)
+    assert [e["ok"] for e in report["iwahori"]] == [False, False]
+    assert all(e["ok"] for e in report["minuscule"] + report["double_coset"])
+    assert _main_bytes(["verify", "--max-n", "2", "--max-q", "2"]) == (1, text, "")
+
+
+ONE = {"unramified": "1", "tame": 0}
+PAIR = {"M": [1, 1], "chars": [ONE, {"unramified": "2", "tame": 0}]}
+DATUM = {"P": [1, 1], "blocks": [{"kind": "steinberg", "size": 1, "Q": [1], "eta": ONE}] * 2}
+
+# one job per command and action
+EVERY_ACTION = {
+    "satake-T": ("satake", {"n": 2, "q": 3, "nu": "0,0", "lam": "-2,0"}),
+    "satake-tau": ("satake", {"n": 2, "q": 3, "nu": "0,0", "lam": "-2,0", "basis": "tau"}),
+    "weights-restrict": ("weights", {"action": "restrict", "q": 3, "nu": "2,0", "P": "1,1"}),
+    "weights-cover": ("weights", {"action": "cover", "q": 3, "nu": "0,0,0", "M": "1,1,1"}),
+    "weights-partner": ("weights", {"action": "partner", "q": 3, "nu": "0,0", "i": 1}),
+    "weights-regular": ("weights", {"action": "regular", "q": 3, "nu": "1,0", "M": "1,1"}),
+    "eigen-eval-tau": ("eigen", {"action": "eval-tau", "q": 3, "pair": PAIR, "lam": "-1,0"}),
+    "eigen-eval-T": ("eigen", {"action": "eval-T", "q": 3, "pair": PAIR, "nu": "0,0",
+                               "lam": "-1,0"}),
+    "eigen-supersingular": ("eigen", {"action": "supersingular", "q": 3, "pair": PAIR}),
+    "eigen-factors": ("eigen", {"action": "factors", "q": 3, "pair": PAIR, "L": "2"}),
+    "eigen-twist": ("eigen", {"action": "twist", "q": 3, "pair": PAIR,
+                              "eta": {"unramified": "2", "tame": 1}}),
+    "eigen-applicable": ("eigen", {"action": "applicable", "q": 3, "pair": PAIR,
+                                   "nu": "0,0", "i": 1}),
+    "classify-validate": ("classify", {"action": "validate", "q": 3, "datum": DATUM}),
+    "classify-constituents": ("classify", {"action": "constituents", "q": 3, "datum": DATUM}),
+    "classify-pair": ("classify", {"action": "pair", "q": 3, "datum": DATUM}),
+    "lattice-json": ("lattice", {"q": 3, "datum": DATUM}),
+    "lattice-dot": ("lattice", {"q": 3, "datum": DATUM, "dot": True}),
+    "hecke0-verify": ("hecke0", {"action": "verify", "n": 3}),
+    "hecke0-derive": ("hecke0", {"action": "derive", "n": 2}),
+    "verify": ("verify", {"max_n": 2, "max_q": 2}),
+}
+
+
+def _argv(command, params):
+    """The command line of a job: the action, then one flag per parameter,
+    objects as JSON and True as a bare flag."""
+    argv = [command] + ([params["action"]] if "action" in params else [])
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif key != "action":
+            argv += [flag, json.dumps(value) if isinstance(value, dict) else str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("name", EVERY_ACTION)
+def test_every_action_exits_0_and_main_prints_what_run_writes(name):
+    command, params = EVERY_ACTION[name]
+    code, text = run_job({"command": command, "params": params})
+    assert code == 0
+    if params.get("dot"):
+        assert text.startswith("digraph lattice {") and text.endswith("}\n")
+    else:
+        assert isinstance(json.loads(text), dict)
+    assert _main_bytes(_argv(command, params)) == (0, text, "")
 
 
 def assert_schema_error(code, text):

@@ -109,7 +109,7 @@ def test_radical_gens_generate_the_unipotent_radicals():
     for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for P in all_parabolics(n):
             for upper in (True, False):
-                gens = _radical_gens(P, q, upper)
+                gens = _radical_gens(P, upper)
                 assert len(gens) == len(crossing_positions(P, upper))
                 assert group_closure(gens, n, q) == radical_elements(n, q, P, upper)
 
@@ -190,7 +190,7 @@ def reference_orbit_counts(n, q, i):
     """The U-orbits on the i-dimensional subspaces by breadth-first search
     over the elementary generators, each orbit keyed by -1_S of its one
     coordinate subspace e_S."""
-    gens = _radical_gens(StandardParabolic.torus(n), q)
+    gens = _radical_gens(StandardParabolic.torus(n))
     remaining = set(subspaces(n, q, i))
     counts = {}
     while remaining:
@@ -228,6 +228,17 @@ def test_orbit_counts_read_off_the_group_match_the_orbit_search(n, q, i):
     # and the Grassmannian has [n choose i]_q elements
     assert gaussian_factorial_ratio(n, (i, n - i), q) == len(subspaces(n, q, i))
     assert iwasawa_orbit_counts(n, q, i) == reference_orbit_counts(n, q, i)
+
+
+def test_verify_gates_builds_each_orbit_table_once():
+    # the n Iwahori gates reuse the table of the i = 1 minuscule gate
+    iwasawa_orbit_counts.cache_clear()
+    verify_gates(3, 3)
+    tables = [(n, q, i) for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)] for i in range(1, n)]
+    info = iwasawa_orbit_counts.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (len(tables), len(tables), 2 + 2 + 3 + 3)
+    with pytest.raises(TypeError):
+        iwasawa_orbit_counts(3, 3, 1)[(-1, 0, 0)] = 0
 
 
 def test_iwasawa_orbit_counts():
@@ -294,7 +305,7 @@ def test_family_top_grading_is_the_highest_weight_line(n, q):
             assert mod.matrix(t) == tuple(tuple(c if i == j else 0 for j in range(mod.dim))
                                           for i, c in enumerate(chars))
         e0 = tuple(int(j == 0) for j in range(mod.dim))
-        assert invariant_space(mod, _radical_gens(StandardParabolic.torus(n), q)) == (e0,)
+        assert invariant_space(mod, _radical_gens(StandardParabolic.torus(n))) == (e0,)
 
 
 @pytest.mark.parametrize("n, q", FAMILY_CASES)
@@ -459,8 +470,8 @@ def _full_scan_failures(n, q, nu, P, Q):
     """The support gate written out over all of GL_n(F_q): every kappa whose
     projection is nonzero although it lies outside the big cell, sorted."""
     mod = supported_weight_modules(n, q)[nu]
-    inv = invariant_space(mod, _radical_gens(P, q))
-    K, piv = coinvariant_kernel(mod, _radical_gens(Q, q, upper=False))
+    inv = invariant_space(mod, _radical_gens(P))
+    K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
     failures = []
     for kappa in gl_elements(n, q):
         nonzero = any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
