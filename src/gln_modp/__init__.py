@@ -9,7 +9,7 @@ from .finite_field import FqElem, FqField
 from .root_datum import (
     StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
-    is_dominant, leq_M, pairing, stab_levi,
+    leq_M, pairing, stab_levi,
 )
 from .weights import (
     LeviWeightClass, WeightClass, central_character_exponents,

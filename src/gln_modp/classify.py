@@ -9,22 +9,23 @@ blocks have size > 1 (a one-dimensional character is the generalized Steinberg
 of the full block group), and consecutive Steinberg blocks carry distinct
 twisting characters.
 
-A datum violating the second constraint is not irreducible; its simple
-constituents are obtained by merging each maximal run of equal-twist
-Steinberg blocks into one block and sweeping the free parabolic choices.
-The count is 2^delta where delta is the number of failing adjacencies, each
-constituent occurs once, and the lattice of "submodules" is the lattice of
-lower sets of the choice poset.  That poset is B_delta on the bits of the
-constituent index: the binary digits of index i are the runs' choice masks,
-first run highest, and bit b of a run's mask is set when free boundary b is
-chosen.  Reverse inclusion of the chosen parabolics is then i & j == j; the
-least constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.
+A datum violating the second constraint is not irreducible.  Its maximal
+runs of equal-twist Steinberg blocks, each supersingular block a run on its
+own, are found once: delta, the number of failing adjacencies, is the block
+count less the run count, and each simple constituent merges every run into
+one block and makes its free parabolic choices.  There are 2^delta, each
+occurring once, and the lattice of "submodules" is the lattice of lower sets
+of the choice poset.  That poset is B_delta on the bits of the constituent
+index: the binary digits of index i are the runs' choice masks, first run
+highest, and bit b of a run's mask is set when free boundary b is chosen.
+Reverse inclusion of the chosen parabolics is then i & j == j; the least
+constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 from .eigen import ParamPair, SmoothCharacter
 from .root_datum import StandardParabolic
@@ -78,10 +79,16 @@ class InductionDatum:
         return self.P.n
 
 
+def _runs(blocks):
+    """The maximal runs of adjacent Steinberg blocks with equal twist, left
+    to right, as lists; each supersingular block is a run on its own."""
+    return [list(run) for _, run in groupby(
+        blocks, key=lambda b: b.eta if isinstance(b, Steinberg) else object())]
+
+
 def delta(datum: InductionDatum) -> int:
-    """Number of adjacent Steinberg pairs with equal twist."""
-    return sum(1 for a, b in zip(datum.blocks, datum.blocks[1:])
-               if isinstance(a, Steinberg) and isinstance(b, Steinberg) and a.eta == b.eta)
+    """Number of adjacent Steinberg pairs with equal twist, r - 1 per run of r."""
+    return len(datum.blocks) - len(_runs(datum.blocks))
 
 
 def validate(datum: InductionDatum) -> bool:
@@ -113,45 +120,6 @@ class IrreducibleRep:
 
 
 @dataclass(frozen=True)
-class _SuperBlock:
-    """A maximal run of equal-twist Steinberg blocks, merged: ``m`` is its
-    total size, ``inner`` the union of its blocks' parabolic subsets, shifted,
-    and ``free`` the boundaries of its Levi in GL_m, the selectable roots."""
-
-    m: int
-    inner: frozenset
-    free: tuple
-    eta: SmoothCharacter
-
-
-def super_blocks(datum: InductionDatum):
-    """Segment the datum into supersingular blocks and merged Steinberg runs,
-    the normalization from which ``constituents`` sweeps the choices."""
-    segments = []
-    i = 0
-    blocks = datum.blocks
-    while i < len(blocks):
-        blk = blocks[i]
-        if isinstance(blk, Supersingular):
-            segments.append(blk)
-            i += 1
-            continue
-        j = i
-        while (j + 1 < len(blocks) and isinstance(blocks[j + 1], Steinberg)
-               and blocks[j + 1].eta == blk.eta):
-            j += 1
-        run = blocks[i:j + 1]
-        inner, offset = set(), 0
-        for b in run:
-            inner |= {offset + r for r in b.Q.delta}
-            offset += b.size
-        L = StandardParabolic(tuple(b.size for b in run))
-        segments.append(_SuperBlock(L.n, frozenset(inner), L.boundaries, blk.eta))
-        i = j + 1
-    return segments
-
-
-@dataclass(frozen=True)
 class ConstituentPoset:
     """Constituents of an induction datum, ordered by reverse inclusion of
     their free parabolic choices: B_delta on the bits of the element index."""
@@ -168,30 +136,33 @@ class ConstituentPoset:
 
 
 def constituents(datum: InductionDatum) -> ConstituentPoset:
-    """All simple constituents, each with multiplicity one.
+    """All simple constituents, each with multiplicity one, 2^delta of them.
 
-    Every merged Steinberg run of total size m sweeps the parabolics of the
-    block group whose trace on the run's Levi is the given one; the count is
-    2^delta.  Elements are emitted in lexicographic bitmask order, runs left
-    to right, so the first run's mask varies slowest.
+    A run of Steinberg blocks of total size m offers one merged block per
+    mask: the parabolic of GL_m with the given trace on the run's Levi that
+    holds free boundary b when bit b is set.  A supersingular run offers
+    itself.  The elements take one option per run, in lexicographic order
+    with runs left to right, so the first run's mask varies slowest.
     """
-    segments = super_blocks(datum)
-    mask_ranges = [range(1 << len(seg.free)) for seg in segments
-                   if isinstance(seg, _SuperBlock)]
+    options = []
+    for run in _runs(datum.blocks):
+        if isinstance(run[0], Supersingular):
+            options.append(run)
+            continue
+        L = StandardParabolic(tuple(b.size for b in run))
+        m, free = L.n, L.boundaries
+        # the union of the run's parabolic subsets, shifted into GL_m
+        inner = {offset + r for offset, b in zip((0,) + free, run) for r in b.Q.delta}
+        merged = []
+        for mask in range(1 << len(free)):
+            chosen = {f for bit, f in enumerate(free) if mask >> bit & 1}
+            Q = StandardParabolic.from_delta(m, inner | chosen)
+            merged.append(Steinberg(m, Q, run[0].eta))
+        options.append(merged)
     elements = []
-    for masks in product(*mask_ranges):
-        blocks = []
-        k = 0
-        for seg in segments:
-            if isinstance(seg, Supersingular):
-                blocks.append(seg)
-                continue
-            extra = {seg.free[b] for b in range(len(seg.free)) if masks[k] >> b & 1}
-            Qp = StandardParabolic.from_delta(seg.m, seg.inner | extra)
-            blocks.append(Steinberg(seg.m, Qp, seg.eta))
-            k += 1
+    for blocks in product(*options):
         P = StandardParabolic(tuple(b.size for b in blocks))
-        elements.append(IrreducibleRep(InductionDatum(P, tuple(blocks))))
+        elements.append(IrreducibleRep(InductionDatum(P, blocks)))
     return ConstituentPoset(tuple(elements))
 
 

@@ -189,19 +189,24 @@ def _chain(*windows):
     return defect & 1, z
 
 
-def _require_rank(n: int) -> None:
+def _require_rank(n: int, what: str, max_rank: int) -> None:
     if n < 2:
         raise ValueError("rank must be at least 2")
+    if n > max_rank:
+        raise ValueError(f"{what} is measured up to rank {max_rank}; rank {n} is refused")
 
 
 # the largest rank measured to derive (n = 5 at cap 30, seconds in process)
 _DERIVE_MAX_RANK = 5
+# the largest rank each verify_* check accepts: word_shift grows like n^6
+# and takes under a second at n = 20 in process
+_VERIFY_MAX_RANK = 20
 
 
 def verify_braid_and_rotation(n: int) -> bool:
     """Check the quadratic, commuting, braid, and rotation relations,
     Pi^n = 1 and its centrality, via signed Demazure products."""
-    _require_rank(n)
+    _require_rank(n, "verify", _VERIFY_MAX_RANK)
     S, pi = [simple(n, k) for k in range(n)], rotation(n)
     ok = True
     for i in range(1, n):
@@ -222,7 +227,7 @@ def verify_braid_and_rotation(n: int) -> bool:
 def verify_word_shift_identity(n: int) -> bool:
     """Check S_{i..j} S_{k..(l-1)} = S_{(k+1)..l} S_{i..j} for all
     1 <= i <= k <= l <= j <= n-1 (the middle factor is empty when l = k)."""
-    _require_rank(n)
+    _require_rank(n, "verify", _VERIFY_MAX_RANK)
     S = [simple(n, k) for k in range(n)]
     for i in range(1, n):
         for k in range(i, n):
@@ -238,7 +243,7 @@ def verify_translation_power(n: int, i: int) -> bool:
     the translation by (1,...,1,0,...,0) (i ones), of length i*(n-i)."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"index {i} out of range")
-    _require_rank(n)
+    _require_rank(n, "verify", _VERIFY_MAX_RANK)
     step = [simple(n, k) for k in range(i, n)] + [rotation(n)]
     t = translation((1,) * i + (0,) * (n - i))
     if len(reduced_word(t)[0]) != i * (n - i):
@@ -454,10 +459,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     ``field`` supplies only its characteristic p (3 by default), so the
     report is the same for every F_{p^m}.
     """
-    _require_rank(n)
-    if n > _DERIVE_MAX_RANK:
-        raise ValueError(
-            f"derive is measured up to rank {_DERIVE_MAX_RANK}; rank {n} is refused")
+    _require_rank(n, "derive", _DERIVE_MAX_RANK)
     length_cap = max(n * n, 20) if length_cap is None else length_cap
     if length_cap < n * n:
         raise ValueError(f"length cap must be at least n^2 = {n * n}")

@@ -159,16 +159,12 @@ def _bruhat_cells(n: int, q: int):
 
 
 def gaussian_factorial_ratio(n: int, parts, q: int) -> int:
-    """The q-multinomial coefficient [n]_q! / prod [n_i]_q!."""
-    def fact(k):
-        out = 1
-        for a in range(1, k + 1):
-            out *= (q ** a - 1) // (q - 1)
-        return out
-    denom = 1
-    for m in parts:
-        denom *= fact(m)
-    return fact(n) // denom
+    """The q-multinomial coefficient [n]_q! / prod [n_i]_q!, the number of
+    flags of type ``parts`` in F_q^n: |GL_n(F_q)| / |P| for the parabolic P
+    of ``parts``, |P| = prod |GL_{n_i}(F_q)| * q^((n^2 - sum n_i^2) / 2)."""
+    levi = prod(group_order_formula(m, q) for m in parts)
+    radical = q ** ((n * n - sum(m * m for m in parts)) // 2)
+    return group_order_formula(n, q) // (levi * radical)
 
 
 def _radical_gens(P: StandardParabolic, upper: bool = True):

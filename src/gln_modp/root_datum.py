@@ -24,10 +24,6 @@ def is_antidominant(v) -> bool:
     return all(v[i] <= v[i + 1] for i in range(len(v) - 1))
 
 
-def is_dominant(v) -> bool:
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
-
-
 def pairing(lam, i: int) -> int:
     """<lam, alpha_i> = lam_i - lam_{i+1} for the i-th simple (co)root."""
     if not 1 <= i <= len(lam) - 1:

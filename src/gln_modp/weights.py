@@ -15,15 +15,34 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .finite_field import prime_radical
-from .root_datum import (
-    StandardParabolic, fundamental_weight, is_dominant, pairing, stab_levi,
-)
+from .root_datum import StandardParabolic, fundamental_weight, pairing, stab_levi
 
 
-def _canonical_global(nu, q):
-    # land the last entry in [0, q-2]
-    shift = nu[-1] - (nu[-1] % (q - 1))
-    return tuple(v - shift for v in nu)
+# A weight of GL_n is a Levi weight of the one-block Levi: both classes check
+# and canonicalize each Levi block of nu by the same two rules.
+
+def _check_block(vals, q):
+    """Refuse the entries of one block unless they are dominant, q-restricted
+    and end in [0, q-2]."""
+    for a, b in zip(vals, vals[1:]):
+        if a < b:
+            raise ValueError(f"{vals} is not dominant")
+    for a, b in zip(vals, vals[1:]):
+        if a - b > q - 1:
+            raise ValueError(f"{vals} is not {q}-restricted")
+    if not 0 <= vals[-1] <= q - 2:
+        raise ValueError(f"{vals} is not canonical (last entry not in [0, q-2])")
+
+
+def _canonical_block(vals, q):
+    """Shift one block by a multiple of (q-1)(1,...,1) so it ends in [0, q-2]."""
+    shift = vals[-1] - vals[-1] % (q - 1)
+    return tuple(v - shift for v in vals)
+
+
+def _split(nu, M: StandardParabolic):
+    """The entries of nu on each Levi block of M, in order."""
+    return [nu[block.start - 1:block.stop - 1] for block in M.blocks()]
 
 
 @dataclass(frozen=True)
@@ -37,13 +56,7 @@ class WeightClass:
     def __post_init__(self):
         object.__setattr__(self, "nu", tuple(self.nu))
         object.__setattr__(self, "p", prime_radical(self.q))
-        if not is_dominant(self.nu):
-            raise ValueError(f"{self.nu} is not dominant")
-        for i in range(1, len(self.nu)):
-            if not 0 <= pairing(self.nu, i) <= self.q - 1:
-                raise ValueError(f"{self.nu} is not {self.q}-restricted")
-        if self.nu[-1] % (self.q - 1) != self.nu[-1]:
-            raise ValueError(f"{self.nu} is not canonical (last entry not in [0, q-2])")
+        _check_block(self.nu, self.q)
 
     @property
     def n(self) -> int:
@@ -57,7 +70,7 @@ class WeightClass:
 
 def make_weight(nu, q: int) -> WeightClass:
     """Canonicalize nu modulo (q-1)(1,...,1) and build the class."""
-    return WeightClass(_canonical_global(tuple(nu), q), q)
+    return WeightClass(_canonical_block(tuple(nu), q), q)
 
 
 @dataclass(frozen=True)
@@ -73,27 +86,17 @@ class LeviWeightClass:
         object.__setattr__(self, "nu", tuple(self.nu))
         if len(self.nu) != self.M.n:
             raise ValueError("rank mismatch")
-        for block in self.M.blocks():
-            vals = [self.nu[j - 1] for j in block]
-            if any(vals[a] < vals[a + 1] for a in range(len(vals) - 1)):
-                raise ValueError(f"{self.nu} is not dominant on block {block}")
-            if any(not 0 <= vals[a] - vals[a + 1] <= self.q - 1 for a in range(len(vals) - 1)):
-                raise ValueError(f"{self.nu} is not {self.q}-restricted on block {block}")
-            if vals[-1] % (self.q - 1) != vals[-1]:
-                raise ValueError(f"{self.nu} is not blockwise canonical")
+        for vals in _split(self.nu, self.M):
+            _check_block(vals, self.q)
 
 
 def make_levi_weight(M: StandardParabolic, nu, q: int) -> LeviWeightClass:
     """Canonicalize blockwise (each block modulo (q-1)(1,...,1) on the block)."""
-    nu = list(nu)
+    nu = tuple(nu)
     if len(nu) != M.n:
         raise ValueError("rank mismatch")
-    for block in M.blocks():
-        last = block[-1]
-        shift = nu[last - 1] - (nu[last - 1] % (q - 1))
-        for j in block:
-            nu[j - 1] -= shift
-    return LeviWeightClass(M, tuple(nu), q)
+    return LeviWeightClass(
+        M, tuple(v for vals in _split(nu, M) for v in _canonical_block(vals, q)), q)
 
 
 def restrict_to_levi(V: WeightClass, P: StandardParabolic) -> LeviWeightClass:
@@ -139,8 +142,7 @@ def central_character_exponents(Vbar: LeviWeightClass) -> tuple:
     """Per Levi block, the exponent mod q-1 through which the block's central
     torus k^x acts on the highest weight."""
     q = Vbar.q
-    return tuple(sum(Vbar.nu[j - 1] for j in block) % (q - 1)
-                 for block in Vbar.M.blocks())
+    return tuple(sum(vals) % (q - 1) for vals in _split(Vbar.nu, Vbar.M))
 
 
 def weight_partner_for_change(V: WeightClass, i: int) -> WeightClass:

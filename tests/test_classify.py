@@ -1,11 +1,13 @@
 import random
+from dataclasses import dataclass
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gln_modp.finite_field import FqField
 from gln_modp.classify import (
-    InductionDatum, IrreducibleRep, Steinberg, Supersingular,
+    ConstituentPoset, InductionDatum, IrreducibleRep, Steinberg, Supersingular,
     constituents, delta, lower_sets, param_pair, submodule_lattice, validate,
 )
 from gln_modp.eigen import SmoothCharacter, is_supersingular, trivial_character
@@ -329,3 +331,97 @@ def test_bit_order_matches_the_order_of_the_chosen_parabolics():
         StandardParabolic((1, 2, 2, 1, 1)),
         (st1(ETA), Steinberg(2, StandardParabolic.full(2), ETA), Supersingular(2, "s", ETA),
          st1(ETA2), st1(ETA2))))
+
+
+# The segment walk the runs replaced, kept as the reference: each maximal run
+# of equal-twist Steinberg blocks is found by index and packed into a record,
+# and the constituents walk the records with a second counter.
+
+def reference_delta(datum):
+    return sum(1 for a, b in zip(datum.blocks, datum.blocks[1:])
+               if isinstance(a, Steinberg) and isinstance(b, Steinberg) and a.eta == b.eta)
+
+
+@dataclass(frozen=True)
+class SuperBlock:
+    m: int
+    inner: frozenset
+    free: tuple
+    eta: SmoothCharacter
+
+
+def reference_super_blocks(datum):
+    segments = []
+    i = 0
+    blocks = datum.blocks
+    while i < len(blocks):
+        blk = blocks[i]
+        if isinstance(blk, Supersingular):
+            segments.append(blk)
+            i += 1
+            continue
+        j = i
+        while (j + 1 < len(blocks) and isinstance(blocks[j + 1], Steinberg)
+               and blocks[j + 1].eta == blk.eta):
+            j += 1
+        run = blocks[i:j + 1]
+        inner, offset = set(), 0
+        for b in run:
+            inner |= {offset + r for r in b.Q.delta}
+            offset += b.size
+        L = StandardParabolic(tuple(b.size for b in run))
+        segments.append(SuperBlock(L.n, frozenset(inner), L.boundaries, blk.eta))
+        i = j + 1
+    return segments
+
+
+def reference_constituents(datum):
+    segments = reference_super_blocks(datum)
+    mask_ranges = [range(1 << len(seg.free)) for seg in segments
+                   if isinstance(seg, SuperBlock)]
+    elements = []
+    for masks in product(*mask_ranges):
+        blocks = []
+        k = 0
+        for seg in segments:
+            if isinstance(seg, Supersingular):
+                blocks.append(seg)
+                continue
+            extra = {seg.free[b] for b in range(len(seg.free)) if masks[k] >> b & 1}
+            Qp = StandardParabolic.from_delta(seg.m, seg.inner | extra)
+            blocks.append(Steinberg(seg.m, Qp, seg.eta))
+            k += 1
+        P = StandardParabolic(tuple(b.size for b in blocks))
+        elements.append(IrreducibleRep(InductionDatum(P, tuple(blocks))))
+    return ConstituentPoset(tuple(elements))
+
+
+@st.composite
+def mixed_data(draw):
+    """Data of one to six blocks, so delta <= 5, mixing supersingular and
+    Steinberg blocks.  Twists come from a pool of three and supersingular
+    blocks from two labels and two central characters, so equal neighbours
+    of both kinds occur, and a supersingular central character can equal a
+    neighbouring Steinberg twist."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 3))
+        if size > 1 and draw(st.booleans()):
+            blocks.append(Supersingular(size, draw(st.sampled_from("st")),
+                                        draw(st.sampled_from((ETA, ETA1)))))
+        else:
+            inner = draw(st.sets(st.integers(1, size - 1))) if size > 1 else ()
+            blocks.append(Steinberg(size, StandardParabolic.from_delta(size, inner),
+                                    draw(st.sampled_from((ETA, ETA1, ETA2)))))
+    return InductionDatum(StandardParabolic(tuple(b.size for b in blocks)), tuple(blocks))
+
+
+SS = Supersingular(2, "s", ETA)
+
+
+@given(mixed_data())
+@example(InductionDatum(StandardParabolic((1, 1, 2, 2, 1, 1)),
+                        (st1(ETA), st1(ETA), SS, SS, st1(ETA), st1(ETA))))
+def test_runs_match_the_reference_segment_walk(datum):
+    assert delta(datum) == reference_delta(datum)
+    assert constituents(datum).elements == reference_constituents(datum).elements

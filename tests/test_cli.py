@@ -242,6 +242,19 @@ def test_derive_above_rank_5_is_refused_at_once():
     assert (code, json.loads(out), err) == (1, {"error": {"kind": "domain", "message": message}}, "")
 
 
+def test_hecke0_verify_above_rank_20_is_refused_at_once():
+    # rank 20 takes under a second; without the guard rank 10^6 would run for ages
+    for n in (21, 1_000_000):
+        message = f"verify is measured up to rank 20; rank {n} is refused"
+        start = time.perf_counter()
+        code, text = run_job({"command": "hecke0", "params": {"action": "verify", "n": n}})
+        assert (code, json.loads(text)) == (1, {"error": {"kind": "domain", "message": message}})
+        code, out, err = _main_bytes(["hecke0", "verify", "--n", str(n)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out), err) == (
+            1, {"error": {"kind": "domain", "message": message}}, "")
+
+
 def test_huge_field_sizes_fail_fast():
     # trial division is refused from 2^32 on, instead of running for minutes
     weights = {"action": "regular", "nu": "0,0", "M": "1,1"}

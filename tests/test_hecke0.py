@@ -117,6 +117,17 @@ def test_relations():
             assert verify_translation_power(n, i)
 
 
+def test_verify_checks_accept_rank_20_and_refuse_rank_21():
+    # word_shift, the n^6 check, is left out at rank 20: it alone takes ~0.8 s
+    assert verify_braid_and_rotation(20)
+    assert all(verify_translation_power(20, i) for i in range(1, 20))
+    message = "^verify is measured up to rank 20; rank 21 is refused$"
+    for check in (verify_braid_and_rotation, verify_word_shift_identity,
+                  lambda n: verify_translation_power(n, 1)):
+        with pytest.raises(ValueError, match=message):
+            check(21)
+
+
 def test_relations_char2(monkeypatch):
     # the identities are checked over Z: S_i S_i = +S_i, a sign error that a
     # check over F_2 would miss, fails the relations

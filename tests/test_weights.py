@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp.root_datum import StandardParabolic, all_parabolics
 from gln_modp.weights import (
-    WeightClass, central_character_exponents,
+    LeviWeightClass, WeightClass, central_character_exponents,
     enumerate_levi_weight_classes, enumerate_weight_classes, is_M_regular,
     make_levi_weight, make_weight, regular_cover, restrict_to_levi,
     weight_partner_for_change,
@@ -28,6 +29,25 @@ def test_canonicalization_and_validation():
     for q in (2, 3, 4):
         for V in enumerate_weight_classes(2, q):
             assert make_weight(V.nu, q) == V
+
+
+def refuses(build):
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@given(st.sampled_from((2, 3, 4, 5)), st.lists(st.integers(-2, 6), min_size=1, max_size=4))
+def test_a_weight_is_a_weight_of_the_one_block_levi(q, nu):
+    # the two classes refuse exactly the same vectors, and canonicalize alike
+    full = StandardParabolic.full(len(nu))
+    assert refuses(lambda: WeightClass(nu, q)) == refuses(lambda: LeviWeightClass(full, nu, q))
+    if refuses(lambda: make_weight(nu, q)):
+        assert refuses(lambda: make_levi_weight(full, nu, q))
+    else:
+        assert make_levi_weight(full, nu, q).nu == make_weight(nu, q).nu
 
 
 def test_equivalence_mod_global_shift():
