@@ -8,19 +8,17 @@ already irreducible).  Size guards are hard errors: an oracle that samples
 is not an oracle.  Only prime q is supported; every gate downstream runs at
 prime q, and plain residue arithmetic keeps the exhaustive loops fast.
 
-The gates stay exhaustive over every element that can decide them, and
-skip only the elements that cannot.  The double-coset support gate claims
-that a projection is nonzero only on the big cell, so a kappa inside the
-big cell can never refute it: the gate scans the complement of the big cell,
-a union of Bruhat cells, and its verdict is that of the full scan.
+The double-coset support gate claims that a projection is nonzero only on
+the big cell.  Whether it vanishes is constant on each double coset
+Qbar kappa P, which holds whole Bruhat cells, so one permutation matrix per
+cell off the big cell gives the verdict of the scan over the whole group.
 Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
 Lambda^k), built once per (n, q): the matrix of a group element on a
 construction is computed once and shared by its twists and by every gate.
 GL_n(F_q) is built once, row by row as in the count of its order, and the
 same pass finds each kappa's Bruhat cell.  That one enumeration feeds the
-order gate, the minuscule and Iwahori gates (which read the orbits of the
-upper unitriangular group off it) and the double-coset gate.  Determinants
-are Leibniz sums.
+order gate and the minuscule and Iwahori gates, which read the orbits of
+the upper unitriangular group off it.  Determinants are Leibniz sums.
 """
 
 from __future__ import annotations
@@ -424,35 +422,30 @@ def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
     that one hypothesis may be dropped when the stabilizer Levi equals the
     other one exactly.
 
-    Only the Bruhat cells outside the big cell are scanned: a kappa in the
-    big cell satisfies the claim whatever its projection is, so skipping it
-    leaves the verdict of the full scan, in any order, unchanged.
+    Whether the projection vanishes is constant on each double coset
+    Qbar kappa P: Qbar normalizes the opposite radical of Q, so it preserves
+    the projection's kernel, and P preserves the invariants of its radical.
+    Each Bruhat cell Bbar w B lies in Qbar w P, so the permutation matrix of
+    w (row a is e_w(a)) decides its cell: only the cells off the big cell
+    are tested, one matrix each, and no kappa of the group is enumerated.
     """
+    _require_enumerable(n, q)
     V = make_weight(tuple(nu), q)
     if not _support_hypothesis(V, P, Q):
         raise ValueError("regularity hypothesis violated for this (nu, P, Q)")
-    return next(_support_failures(n, q, V.nu, P, Q), None) is None
+    mod = _module(n, q, V.nu)
+    inv = invariant_space(mod, _radical_gens(P))
+    K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
+    off = (tuple(tuple(int(b == c) for b in range(n)) for c in w)
+           for w in permutations(range(n)) if not in_big_cell(w, Q, P))
+    return not any(any(_reduce_mod(K, piv, mod.act(kappa, v), q))
+                   for kappa in off for v in inv)
 
 
 def _support_hypothesis(V, P: StandardParabolic, Q: StandardParabolic) -> bool:
     """V is regular for the Levis of both P and Q, or its stabilizer Levi is
     one of them."""
     return (is_M_regular(V, P) and is_M_regular(V, Q)) or stab_levi(V.nu) in (P, Q)
-
-
-def _support_failures(n: int, q: int, nu, P: StandardParabolic,
-                      Q: StandardParabolic):
-    """Every kappa outside the big cell with a nonzero projection, lazily
-    and cell by cell in the order of ``_bruhat_cells``: the support gate
-    without its regularity hypothesis."""
-    mod = _module(n, q, nu)
-    inv = invariant_space(mod, _radical_gens(P))
-    K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
-
-    off = (cell for w, cell in _bruhat_cells(n, q).items() if not in_big_cell(w, Q, P))
-    for kappa in chain.from_iterable(off):
-        if any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv):
-            yield kappa
 
 
 # -- Iwahori-level coset count -----------------------------------------------

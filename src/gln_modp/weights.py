@@ -35,7 +35,9 @@ def _check_block(vals, q):
 
 
 def _canonical_block(vals, q):
-    """Shift one block by a multiple of (q-1)(1,...,1) so it ends in [0, q-2]."""
+    """Shift one block by a multiple of (q-1)(1,...,1) so it ends in [0, q-2],
+    after refusing a q that is not a prime power."""
+    prime_radical(q)
     shift = vals[-1] - vals[-1] % (q - 1)
     return tuple(v - shift for v in vals)
 
@@ -84,6 +86,7 @@ class LeviWeightClass:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", tuple(self.nu))
+        prime_radical(self.q)
         if len(self.nu) != self.M.n:
             raise ValueError("rank mismatch")
         for vals in _split(self.nu, self.M):

@@ -326,10 +326,12 @@ def test_verify_job_small():
     assert json.loads(text)["ok"] is True
 
 
-# sha256 of the two oracle_gates benchmark jobs' reports
+# sha256 of the two oracle_gates benchmark jobs' reports and of the one
+# report whose gates enumerate GL_4(F_2)
 VERIFY_PINS = {
     (3, 2): "49f7f851768a61a22cd92d88e7b7244fa3faad70180213bfec411b639d1b9601",
     (2, 5): "7066f10dc6816c02a2798ed0f9084efe9ed878fb6047d6d32e3c2a4cc95d961e",
+    (4, 2): "8332083e9798b58c6a3158b5ff0e1aea86291034c7b5570d1bc3f91dd2826434",
 }
 
 

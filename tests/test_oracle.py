@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from gln_modp import oracle
 from gln_modp.oracle import (
-    _bruhat_cells, _det, _radical_gens, _reduce_mod, _support_failures,
+    _bruhat_cells, _det, _radical_gens, _reduce_mod, _support_hypothesis,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
@@ -153,6 +153,10 @@ def test_size_and_primality_guards():
         iwasawa_orbit_counts(2, 4, 1)
     with pytest.raises(ValueError, match="enumeration guard"):
         iwasawa_orbit_counts(4, 3, 1)
+    # the support gate enumerates no kappa, yet keeps the same guard
+    B4 = StandardParabolic.torus(4)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        check_double_coset_support(4, 3, (3, 2, 1, 0), B4, B4)
 
 
 def test_flag_coset_counts():
@@ -466,18 +470,31 @@ def test_off_big_cell_matches_brute_force():
                 assert len(off) == len(G) - len(lower[Q]) * len(upper[P]) // meet
 
 
-def _full_scan_failures(n, q, nu, P, Q):
-    """The support gate written out over all of GL_n(F_q): every kappa whose
-    projection is nonzero although it lies outside the big cell, sorted."""
+def _projection_test(n, q, nu, P, Q):
+    """kappa -> whether the projection of kappa * (invariants of the radical
+    of P) to the coinvariants of the opposite radical of Q is nonzero."""
     mod = supported_weight_modules(n, q)[nu]
     inv = invariant_space(mod, _radical_gens(P))
     K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
-    failures = []
-    for kappa in gl_elements(n, q):
-        nonzero = any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
-        if nonzero and not _rank_in_big_cell(kappa, Q, P, q):
-            failures.append(kappa)
-    return sorted(failures)
+    return lambda kappa: any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
+
+
+def _full_scan_failures(n, q, nu, P, Q):
+    """The support gate written out over all of GL_n(F_q): every kappa whose
+    projection is nonzero although it lies outside the big cell, sorted."""
+    nonzero = _projection_test(n, q, nu, P, Q)
+    return sorted(kappa for kappa in gl_elements(n, q)
+                  if nonzero(kappa) and not _rank_in_big_cell(kappa, Q, P, q))
+
+
+def _support_failures(n, q, nu, P, Q):
+    """The brute-force reference for ``check_double_coset_support``: every
+    kappa outside the big cell with a nonzero projection, lazily and cell by
+    cell in the order of ``_bruhat_cells``, without the regularity
+    hypothesis."""
+    nonzero = _projection_test(n, q, nu, P, Q)
+    off = (cell for w, cell in _bruhat_cells(n, q).items() if not in_big_cell(w, Q, P))
+    return (kappa for kappa in chain.from_iterable(off) if nonzero(kappa))
 
 
 def test_restricted_scan_reports_the_full_scan_failures():
@@ -498,6 +515,53 @@ def test_restricted_scan_reports_the_full_scan_failures():
                     outside += 1
                     failing += bool(failures)
     assert (outside, failing) == (25, 17)
+
+
+def permutation_matrix(w):
+    """Row a is e_w(a): the matrix the support gate tests for w's cell."""
+    return tuple(tuple(int(b == c) for b in range(len(w))) for c in w)
+
+
+def cell_constancy_counts(n, q):
+    """For every (nu, P, Q), hypothesis or not, and every Bruhat cell, the
+    projection is nonzero at w's permutation matrix exactly when it is
+    nonzero at each kappa of the cell.  Returns (pairs, nonzero pairs)."""
+    pairs = nonzero_pairs = 0
+    for nu in supported_weight_modules(n, q):
+        for P in all_parabolics(n):
+            for Q in all_parabolics(n):
+                nonzero = _projection_test(n, q, nu, P, Q)
+                for w, cell in _bruhat_cells(n, q).items():
+                    at_w = nonzero(permutation_matrix(w))
+                    assert all(nonzero(kappa) == at_w for kappa in cell), (nu, P, Q, w)
+                    pairs += 1
+                    nonzero_pairs += at_w
+    return pairs, nonzero_pairs
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_projection_is_constant_on_each_bruhat_cell(n, q):
+    # Qbar kappa P holds the whole cell of kappa, so its permutation matrix
+    # decides the cell; each cell is visited once per triple
+    pairs, _ = cell_constancy_counts(n, q)
+    triples = len(supported_weight_modules(n, q)) * len(all_parabolics(n)) ** 2
+    assert pairs == triples * factorial(n)
+
+
+def test_reduced_gate_gives_the_full_scan_verdict_at_3_3():
+    # every hypothesis triple at (3, 3): one matrix per cell off the big
+    # cell against every kappa of those cells
+    checked = 0
+    for nu in supported_weight_modules(3, 3):
+        V = make_weight(nu, 3)
+        for P in all_parabolics(3):
+            for Q in all_parabolics(3):
+                if _support_hypothesis(V, P, Q):
+                    full = next(_support_failures(3, 3, nu, P, Q), None) is None
+                    assert check_double_coset_support(3, 3, nu, P, Q) == full
+                    checked += 1
+    report = verify_gates(3, 3)["double_coset"]
+    assert checked == sum((r["n"], r["q"]) == (3, 3) for r in report)
 
 
 def test_iwahori_coset_counts():

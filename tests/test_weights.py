@@ -39,7 +39,7 @@ def refuses(build):
     return False
 
 
-@given(st.sampled_from((2, 3, 4, 5)), st.lists(st.integers(-2, 6), min_size=1, max_size=4))
+@given(st.sampled_from((1, 2, 3, 4, 5, 6)), st.lists(st.integers(-2, 6), min_size=1, max_size=4))
 def test_a_weight_is_a_weight_of_the_one_block_levi(q, nu):
     # the two classes refuse exactly the same vectors, and canonicalize alike
     full = StandardParabolic.full(len(nu))
@@ -48,6 +48,21 @@ def test_a_weight_is_a_weight_of_the_one_block_levi(q, nu):
         assert refuses(lambda: make_levi_weight(full, nu, q))
     else:
         assert make_levi_weight(full, nu, q).nu == make_weight(nu, q).nu
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 6, 10, 12])
+def test_both_classes_and_both_factories_refuse_the_same_q(q):
+    # a q that is not a prime power is refused with the same text before
+    # any block is canonicalized (q = 1 once divided by q - 1 = 0)
+    full = StandardParabolic.full(2)
+    builds = [lambda: WeightClass((0, 0), q), lambda: LeviWeightClass(full, (0, 0), q),
+              lambda: make_weight((0, 0), q), lambda: make_levi_weight(full, (0, 0), q)]
+    messages = set()
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_equivalence_mod_global_shift():
