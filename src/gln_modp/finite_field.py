@@ -105,6 +105,10 @@ def poly_is_irreducible(poly, p: int) -> bool:
     return True
 
 
+# larger extensions are refused: a modulus search trial-divides p^m candidates
+_MAX_EXTENSION = 1 << 16
+
+
 # one entry per extension field in use
 @lru_cache(maxsize=64)
 def default_modulus(p: int, m: int):
@@ -126,6 +130,8 @@ class FqField:
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
             raise ValueError("m must be >= 1")
+        if m > 1 and (m > 16 or p ** m > _MAX_EXTENSION):  # 2^17 > 2^16
+            raise ValueError(f"F_{{{p}^{m}}} exceeds the 2^16-element extension guard")
         if modulus is None:
             modulus = default_modulus(p, m)  # monic and irreducible by construction
         else:

@@ -171,6 +171,10 @@ def leq_M(mu, lam, M: StandardParabolic) -> bool:
     return ps + lam[-1] - mu[-1] == 0
 
 
+# each leaf of the search is a member, so listing stops once an interval exceeds this
+_MAX_INTERVAL = 1 << 16
+
+
 def interval_above(mu, M: StandardParabolic):
     """All antidominant lam with lam >=_M mu, in lexicographic order.
 
@@ -193,6 +197,8 @@ def interval_above(mu, M: StandardParabolic):
         t = len(prefix)
         if t == n:
             out.append(prefix)
+            if len(out) > _MAX_INTERVAL:
+                raise ValueError("interval too large for exhaustive enumeration")
             return
         # lam_t >= lam_{t-1}, p stays >= 0, and the block's entries from t
         # on, each >= lam_t, sum to rests[t] - p (so p is 0 at its end)

@@ -25,7 +25,7 @@ def test_every_cache_is_bounded():
     for name in ("gln_modp.hecke0._left_word", "gln_modp.cli._parser",
                  "gln_modp.finite_field.default_modulus",
                  "gln_modp.finite_field._smallest_factor",
-                 "gln_modp.oracle._bruhat_cells",
+                 "gln_modp.oracle.gl_elements",
                  "gln_modp.oracle.iwasawa_orbit_counts",
                  "gln_modp.oracle._signed_permutations"):
         assert name in caches

@@ -269,6 +269,34 @@ def test_huge_field_sizes_fail_fast():
     assert code == 2 and json.loads(text)["error"]["kind"] == "schema"
 
 
+def test_large_extension_fields_are_a_schema_error_at_once(monkeypatch):
+    # past 2^16 elements no modulus is searched for, whichever source names it
+    start = time.perf_counter()
+    code, out, err = _main_bytes(SATAKE_ARGV + ["--field", "2,40"])
+    assert (code, json.loads(out)["error"]["kind"], err) == (2, "schema", "")
+    assert time.perf_counter() - start < 1
+    code, text = run_job(dict(SATAKE_JOB, scalar_field={"p": 3, "m": 40}))
+    assert (code, json.loads(text)["error"]["kind"]) == (2, "schema")
+    monkeypatch.setenv(cli.ENV_FIELD, "3,40")
+    code, text = run_job(SATAKE_JOB)
+    assert (code, json.loads(text)["error"]["kind"]) == (2, "schema")
+    assert time.perf_counter() - start < 1
+
+
+def test_a_large_interval_is_a_domain_error_at_once():
+    # the tau -> T expansion lists the interval above lam; past 2^16 members
+    # the listing stops instead of running for minutes
+    message = "interval too large for exhaustive enumeration"
+    for lam in ("-200,0,0,200", "-1000,0,0,0,0,1000"):
+        n = lam.count(",") + 1
+        start = time.perf_counter()
+        code, out, err = _main_bytes(["satake", "--basis", "tau", "--n", str(n), "--q", "3",
+                                      "--nu", ",".join(["0"] * n), "--lam", lam])
+        assert time.perf_counter() - start < 1
+        assert (code, json.loads(out), err) == (
+            1, {"error": {"kind": "domain", "message": message}}, "")
+
+
 def test_one_job_factors_its_q_once():
     # the CLI's field, FqField and WeightClass share one trial division of q
     _smallest_factor.cache_clear()
@@ -327,7 +355,7 @@ def test_verify_job_small():
 
 
 # sha256 of the two oracle_gates benchmark jobs' reports and of the one
-# report whose gates enumerate GL_4(F_2)
+# report at n = 4, whose order gate enumerates GL_4(F_2)
 VERIFY_PINS = {
     (3, 2): "49f7f851768a61a22cd92d88e7b7244fa3faad70180213bfec411b639d1b9601",
     (2, 5): "7066f10dc6816c02a2798ed0f9084efe9ed878fb6047d6d32e3c2a4cc95d961e",

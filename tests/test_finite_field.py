@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -46,6 +47,20 @@ def test_reducible_modulus_rejected():
         FqField(3, 2, (0, 0, 1))  # x^2
     with pytest.raises(ValueError):
         FqField(4, 1)
+
+
+def test_extension_fields_past_2_to_the_16_elements_are_refused_at_once():
+    # F_{2^16} and F_{251^2} are the largest of their p; prime fields need no
+    # modulus search, so a prime near 2^32 still builds
+    assert FqField(2, 16).size == 2 ** 16 and FqField(251, 2).size == 63001
+    assert FqField(4_294_967_291).size == 4_294_967_291
+    start = time.perf_counter()
+    for p, m in [(2, 17), (257, 2), (2, 20), (3, 40), (2, 10 ** 12)]:
+        with pytest.raises(ValueError, match=r"^F_\{%d\^%d\} exceeds" % (p, m)):
+            FqField(p, m)
+    with pytest.raises(ValueError, match="extension guard"):
+        FqField(2, 17, (1,) + (0,) * 16 + (1,))  # refused before the irreducibility test
+    assert time.perf_counter() - start < 0.5
 
 
 def test_parse_and_str_round_trip():

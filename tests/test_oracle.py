@@ -1,3 +1,5 @@
+import io
+import json
 import time
 from collections import Counter
 from functools import lru_cache
@@ -7,9 +9,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from gln_modp import oracle
+from gln_modp import cli, oracle
 from gln_modp.oracle import (
-    _bruhat_cells, _det, _radical_gens, _reduce_mod, _support_hypothesis,
+    TinyWeightModule, _det, _radical_gens, _reduce_mod, _support_hypothesis,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
     check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
@@ -58,6 +60,39 @@ def all_matrices(n, q):
 def reference_group(n, q):
     """GL_n(F_q) by the scan of all q^(n^2) matrices through ``mat_det``."""
     return [A for A, det in all_matrices(n, q) if det]
+
+
+def mat_rank(A, q):
+    """The rank of a (possibly empty) matrix by Gaussian elimination."""
+    M, rank = [list(r) for r in A], 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][c], q - 2, q)
+        for r in range(rank + 1, len(M)):
+            f = M[r][c] * inv % q
+            M[r] = [(x - f * y) % q for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+@lru_cache(maxsize=8)
+def _bruhat_cells(n, q):
+    """The reference Bruhat decomposition: each permutation w, mapped to the
+    kappa of ``reference_group`` in Bbar w B (Bbar lower, B upper
+    triangular), in lexicographic order.  kappa is grouped by its top-left
+    rank profile: the a x b block has rank #{i < a : w(i) < b}, so row a
+    first raises the rank of the top-left blocks at b = w(a) + 1."""
+    cells = {}
+    for kappa in reference_group(n, q):
+        ranks = [[mat_rank([row[:b] for row in kappa[:a]], q) for b in range(n + 1)]
+                 for a in range(n + 1)]
+        w = tuple(next(b for b in range(n) if ranks[a + 1][b + 1] > ranks[a][b + 1])
+                  for a in range(n))
+        cells.setdefault(w, []).append(kappa)
+    return {w: tuple(cell) for w, cell in cells.items()}
 
 
 def mat_mul(A, B, q):
@@ -228,7 +263,7 @@ def test_subspace_counts():
 
 @pytest.mark.parametrize("n, q, i", ORBIT_CASES)
 def test_orbit_counts_read_off_the_group_match_the_orbit_search(n, q, i):
-    # U taken from gl_elements gives the orbits the generator search finds,
+    # U built from its rows gives the orbits the generator search finds,
     # and the Grassmannian has [n choose i]_q elements
     assert gaussian_factorial_ratio(n, (i, n - i), q) == len(subspaces(n, q, i))
     assert iwasawa_orbit_counts(n, q, i) == reference_orbit_counts(n, q, i)
@@ -309,7 +344,7 @@ def test_family_top_grading_is_the_highest_weight_line(n, q):
             assert mod.matrix(t) == tuple(tuple(c if i == j else 0 for j in range(mod.dim))
                                           for i, c in enumerate(chars))
         e0 = tuple(int(j == 0) for j in range(mod.dim))
-        assert invariant_space(mod, _radical_gens(StandardParabolic.torus(n))) == (e0,)
+        assert invariant_space(mod, StandardParabolic.torus(n)) == (e0,)
 
 
 @pytest.mark.parametrize("n, q", FAMILY_CASES)
@@ -367,6 +402,28 @@ def test_verify_gates_stops_both_scans_at_the_size_guard(monkeypatch):
     assert [(r["n"], r["q"]) for r in report["order"]] == [(2, 2), (2, 3)]
 
 
+def test_a_miscounted_group_fails_the_order_gate_alone(monkeypatch):
+    # one element short: every order entry fails and no other gate reads G
+    calls = Counter()
+
+    def short(n, q):
+        calls[n, q] += 1
+        return gl_elements(n, q)[1:]
+
+    monkeypatch.setattr(oracle, "gl_elements", short)
+    report = verify_gates(3, 3)
+    pairs = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert calls == {pair: 1 for pair in pairs}
+    assert [(e["n"], e["q"], e["ok"]) for e in report["order"]] == [
+        (n, q, False) for n, q in pairs]
+    assert all(e["ok"] for gate in ("minuscule", "iwahori", "invariants", "double_coset")
+               for e in report[gate])
+    assert report["ok"] is False
+    out = io.StringIO()
+    assert cli.run({"command": "verify", "params": {"max_n": 3, "max_q": 3}}, out) == 1
+    assert json.loads(out.getvalue()) == report
+
+
 def test_supported_family_is_built_once_and_read_only():
     fam = supported_weight_modules(3, 2)
     assert supported_weight_modules(3, 2) is fam
@@ -380,6 +437,29 @@ def test_invariants_coinvariants_examples():
     assert check_invariants_coinvariants(3, 2, (1, 0, 0), StandardParabolic((2, 1)))
     with pytest.raises(ValueError):
         check_invariants_coinvariants(3, 3, (2, 1, 0), B3)  # outside the family
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_torus_generators_catch_a_det_twist_of_the_matrices_alone(monkeypatch, q):
+    # the mutant's matrices are twisted by det^1 while its gradings are not:
+    # unipotent elements have det 1, so every radical sees the same subspaces
+    # and only the torus check can tell, on diag(c, 1) with c != 1
+    real = oracle._module
+
+    def mutant(*key):
+        mod = real(*key)
+        return TinyWeightModule(mod.q, mod.gradings, 1, mod.matrix)
+
+    monkeypatch.setattr(oracle, "_module", mutant)
+    for nu in supported_weight_modules(2, q):
+        for P in all_parabolics(2):
+            mod, bad = real(2, q, nu), mutant(2, q, nu)
+            assert invariant_space(bad, P) == invariant_space(mod, P)
+            assert coinvariant_kernel(bad, P) == coinvariant_kernel(mod, P)
+            assert not check_invariants_coinvariants(2, q, nu, P)
+    monkeypatch.setattr(oracle, "_module", real)
+    assert all(check_invariants_coinvariants(2, q, nu, P)
+               for nu in supported_weight_modules(2, q) for P in all_parabolics(2))
 
 
 def test_double_coset_support_examples():
@@ -474,8 +554,8 @@ def _projection_test(n, q, nu, P, Q):
     """kappa -> whether the projection of kappa * (invariants of the radical
     of P) to the coinvariants of the opposite radical of Q is nonzero."""
     mod = supported_weight_modules(n, q)[nu]
-    inv = invariant_space(mod, _radical_gens(P))
-    K, piv = coinvariant_kernel(mod, _radical_gens(Q, upper=False))
+    inv = invariant_space(mod, P)
+    K, piv = coinvariant_kernel(mod, Q)
     return lambda kappa: any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
 
 

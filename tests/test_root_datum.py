@@ -1,8 +1,10 @@
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
 
+from gln_modp import root_datum
 from gln_modp.root_datum import (
     StandardParabolic, all_parabolics,
     fundamental_antidominant_coweight, interval_above, is_antidominant,
@@ -82,6 +84,17 @@ def test_interval_above_examples():
     assert interval_above((0, 0), T2) == ((0, 0),)
     with pytest.raises(ValueError):
         interval_above((1, 0), G2)
+
+
+def test_interval_above_refuses_an_interval_past_its_bound_while_listing():
+    # above (-k, k) in GL_2 lie the k + 1 coweights (-j, j), j = 0..k
+    k = root_datum._MAX_INTERVAL
+    assert len(interval_above((1 - k, k - 1), G2)) == k
+    for mu, M in [((-k, k), G2), ((-1000, 0, 0, 0, 0, 1000), StandardParabolic.full(6))]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^interval too large"):
+            interval_above(mu, M)
+        assert time.perf_counter() - start < 1
 
 
 def test_interval_above_membership_properties():
