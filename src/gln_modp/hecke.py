@@ -89,10 +89,15 @@ def basis_element(weight: WeightClass, basis: str, lam, field: FqField) -> Hecke
     return HeckeElement(weight, basis, {tuple(lam): field.one}, field)
 
 
+_MAX_CUBE_RANK = 13  # a row scans 2^|delta| masks and up to 3^|delta| submasks
+
+
 def _tau_row(lam, delta):
     """The nonzero Moebius values mu(lam, nu) as sorted (nu, int) pairs:
     nu = lam + alpha_S^vee over the sets S inside delta with nu
     antidominant, the value computed over subsets as bitmasks."""
+    if len(delta) > _MAX_CUBE_RANK:
+        raise ValueError("Levi rank too large for the unit-cube expansion")
     roots = sorted(delta)
     values, row = {}, []
     # increasing masks visit every subset of a set before the set itself

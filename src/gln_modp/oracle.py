@@ -12,9 +12,10 @@ The double-coset support gate claims that a projection is nonzero only on
 the big cell.  Whether it vanishes is constant on each double coset
 Qbar kappa P, which holds whole Bruhat cells, so one permutation matrix per
 cell off the big cell gives the verdict of the scan over the whole group.
-Each module is the det^b twist of one of q+n-2 constructions (Sym^a and
-Lambda^k), built once per (n, q): the matrix of a group element on a
-construction is computed once and shared by its twists and by every gate.
+A family entry is a construction, Sym^a or Lambda^k, listed under the
+highest weight nu of each of its q-1 det^b twists: nu's last entry is b, and
+b enters no gate.  Each of the q+n-2 is built once per (n, q) and computes a
+matrix, its subspaces at a parabolic and its highest-line check once.
 Each gate builds only what it acts with: the order gate alone enumerates
 GL_n(F_q); the upper unitriangular group U is built from its rows; the
 radicals and the torus act through generators.  Determinants are Leibniz sums.
@@ -23,7 +24,7 @@ radicals and the torus act through generators.  Determinants are Leibniz sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product, takewhile
 from math import prod
 from operator import getitem
@@ -72,7 +73,7 @@ def _signed_permutations(n: int):
 
 def _det(A, q):
     """det A mod q by the Leibniz formula, n! products with no pivot and no
-    division; inside ``verify_gates`` no determinant exceeds 3 x 3."""
+    division: the minors of Lambda^k, none above 3 x 3 in ``verify_gates``."""
     return sum(sign * prod(map(getitem, A, sigma))
                for sigma, sign in _signed_permutations(len(A))) % q
 
@@ -218,46 +219,44 @@ def check_minuscule_satake(n: int, q: int, i: int) -> bool:
 
 @dataclass
 class TinyWeightModule:
-    """An explicit matrix model of an irreducible GL_n(F_q)-module.  A
-    construction (Sym^a or Lambda^k) has b = 0; ``det_twist`` makes the rest."""
+    """An explicit matrix model of a construction, Sym^a or Lambda^k of the
+    standard module, irreducible at prime q; its det^b twists share every
+    gate verdict, so the gates read the construction alone."""
 
     q: int
-    gradings: tuple     # integer weight of each basis vector; the first
-                        # spans the highest-weight line
-    b: int              # the module is twisted by det^b
-    _untwisted: object  # callable g -> row tuples of g's untwisted matrix
+    gradings: tuple  # integer weight of each basis vector; the first
+                     # spans the highest-weight line
+    _build: object   # callable g -> row tuples of g's matrix
 
     def __post_init__(self):
         self._cache = {}
+        self._subspaces = {}  # P -> (V^{N_P}, coinvariant kernel at P)
 
     @property
     def dim(self) -> int:
         return len(self.gradings)
 
     def matrix(self, g):
-        """Column-convention matrix of g on the module: det(g)^b, by the
-        Leibniz formula, times the untwisted matrix."""
+        """Column-convention matrix of g on the module, built once per g."""
         M = self._cache.get(g)
         if M is None:
-            M = self._untwisted(g)
-            if self.b:
-                q = self.q
-                detb = pow(_det(g, q), self.b, q)
-                M = tuple(tuple(x * detb % q for x in row) for row in M)
-            self._cache[g] = M
+            M = self._cache[g] = self._build(g)
         return M
 
     def act(self, g, v):
         return tuple(sum(x * y for x, y in zip(row, v)) % self.q for row in self.matrix(g))
 
+    def subspaces(self, P: StandardParabolic):
+        """``invariant_space`` and ``coinvariant_kernel`` at P, built once;
+        det is 1 on the radicals, so they are every twist's."""
+        if P not in self._subspaces:
+            self._subspaces[P] = invariant_space(self, P), coinvariant_kernel(self, P)
+        return self._subspaces[P]
 
-def det_twist(construction: TinyWeightModule, b: int) -> TinyWeightModule:
-    """The construction twisted by det^b: gradings shifted by b, cached
-    matrices scaled by det(g)^b.  The b = 0 twist is the construction."""
-    if not b:
-        return construction
-    gradings = tuple(tuple(x + b for x in w) for w in construction.gradings)
-    return TinyWeightModule(construction.q, gradings, b, construction.matrix)
+    @cached_property
+    def highest_line_ok(self) -> bool:
+        """``_highest_line_ok``, run once."""
+        return _highest_line_ok(self)
 
 
 def sym_power_module(n: int, q: int, a: int) -> TinyWeightModule:
@@ -269,7 +268,7 @@ def sym_power_module(n: int, q: int, a: int) -> TinyWeightModule:
     monos = sorted((m for m in product(range(a + 1), repeat=n) if sum(m) == a),
                    reverse=True)
 
-    def untwisted(g):
+    def matrix(g):
         # column m holds the coefficients of prod_j (g e_j)^(m_j)
         cols = []
         for m in monos:
@@ -284,7 +283,7 @@ def sym_power_module(n: int, q: int, a: int) -> TinyWeightModule:
             cols.append([acc.get(mono, 0) for mono in monos])
         return tuple(zip(*cols))
 
-    return TinyWeightModule(q, tuple(monos), 0, untwisted)
+    return TinyWeightModule(q, tuple(monos), matrix)
 
 
 def exterior_power_module(n: int, q: int, k: int) -> TinyWeightModule:
@@ -295,34 +294,30 @@ def exterior_power_module(n: int, q: int, k: int) -> TinyWeightModule:
         raise ValueError("exterior power degree out of range")
     subsets = sorted(combinations(range(n), k))
 
-    def untwisted(g):
+    def matrix(g):
         # the entry at (T, S) is the minor of g on rows T and columns S
         return tuple(tuple(_det([[g[r][c] for c in S] for r in T], q)
                            for S in subsets) for T in subsets)
 
     gradings = tuple(tuple(int(j in S) for j in range(n)) for S in subsets)
-    return TinyWeightModule(q, gradings, 0, untwisted)
+    return TinyWeightModule(q, gradings, matrix)
 
 
 @lru_cache(maxsize=_CACHED_GROUPS)
 def supported_weight_modules(n: int, q: int):
     """The supported family: all symmetric powers in the irreducible range
     and all exterior powers, twisted by determinant powers.  Returns a
-    read-only mapping from the canonical highest weight to the module, built
-    once per (n, q) from q+n-2 constructions whose twists share their cache."""
+    read-only map from the canonical highest weight nu of each twist, whose
+    last entry is b, to its construction; all q+n-2 are built once per (n, q)."""
     _require_prime(q)
     constructions = ([sym_power_module(n, q, a) for a in range(q)]
                      + [exterior_power_module(n, q, k) for k in range(2, n)])
-    out = {}
-    for b in range(q - 1):
-        for construction in constructions:
-            mod = det_twist(construction, b)
-            out.setdefault(make_weight(mod.gradings[0], q).nu, mod)
-    return MappingProxyType(out)
+    return MappingProxyType({make_weight(tuple(x + b for x in c.gradings[0]), q).nu: c
+                             for b in range(q - 1) for c in constructions})
 
 
 def _module(n: int, q: int, nu) -> TinyWeightModule:
-    """The module of the supported family with highest weight nu."""
+    """The construction whose twist has highest weight nu."""
     mod = supported_weight_modules(n, q).get(make_weight(tuple(nu), q).nu)
     if mod is None:
         raise ValueError(f"nu={nu} is outside the supported family")
@@ -351,6 +346,24 @@ def coinvariant_kernel(module: TinyWeightModule, Q: StandardParabolic):
     return rref([col for g in gens for col in zip(*_minus_one(module, g))], module.q)
 
 
+def _highest_line_ok(mod: TinyWeightModule) -> bool:
+    """The full-unipotent invariants are one line, carrying the T(F_q)-character
+    of gradings[0].  The diag(1, ..., c, ..., 1) generate T(F_q) and both
+    sides are homomorphisms, so they decide it; a det^b twist scales both
+    sides by c^b."""
+    q, n = mod.q, len(mod.gradings[0])
+    inv_U = mod.subspaces(StandardParabolic.torus(n))[0]
+    if len(inv_U) != 1:
+        return False
+    w = inv_U[0]
+    for j, c in product(range(n), range(2, q)):
+        t = tuple(tuple(c if i == k == j else int(i == k) for k in range(n)) for i in range(n))
+        scalar = pow(c, mod.gradings[0][j], q)
+        if mod.act(t, w) != tuple(x * scalar % q for x in w):
+            return False
+    return True
+
+
 def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> bool:
     """Finite-group gate: for the module of highest weight nu, the invariants
     of the unipotent radical map isomorphically onto the coinvariants of the
@@ -358,27 +371,12 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     carry the T(k)-character of nu, and the invariant space is exactly the
     sum of the graded pieces congruent to nu modulo the block root lattice."""
     mod = _module(n, q, nu)
-
-    inv = invariant_space(mod, P)
-    K, piv = coinvariant_kernel(mod, P)
+    inv, (K, piv) = mod.subspaces(P)
     if len(inv) != mod.dim - len(K):
         return False
     reduced = [_reduce_mod(K, piv, v, q) for v in inv]
-    if len(rref(reduced, q)[0]) != len(inv):
+    if len(rref(reduced, q)[0]) != len(inv) or not mod.highest_line_ok:
         return False
-
-    # full-unipotent invariants: one line, carrying the character of nu
-    inv_U = invariant_space(mod, StandardParabolic.torus(n))
-    if len(inv_U) != 1:
-        return False
-    w = inv_U[0]
-    # T(F_q) is generated by the diag(1, ..., c, ..., 1), and g -> matrix(g)
-    # and the character of nu are homomorphisms, so the generators decide it
-    for j, c in product(range(n), range(2, q)):
-        t = tuple(tuple(c if i == k == j else int(i == k) for k in range(n)) for i in range(n))
-        scalar = pow(c, mod.gradings[0][j], q)
-        if mod.act(t, w) != tuple(x * scalar % q for x in w):
-            return False
 
     # graded description: invariants = sum of pieces with nu - grading in Z Phi_M
     bd = (0,) + P.boundaries + (n,)
@@ -387,11 +385,8 @@ def check_invariants_coinvariants(n: int, q: int, nu, P: StandardParabolic) -> b
     target = block_sums(mod.gradings[0])
     qualifying = [j for j, grading in enumerate(mod.gradings)
                   if block_sums(grading) == target]
-    if len(inv) != len(qualifying):
-        return False
-    ok_support = all(all(v[j] == 0 for j in range(mod.dim) if j not in qualifying)
-                     for v in inv)
-    return ok_support
+    return len(inv) == len(qualifying) and all(
+        v[j] == 0 for v in inv for j in range(mod.dim) if j not in qualifying)
 
 
 def in_big_cell(w, Q: StandardParabolic, P: StandardParabolic) -> bool:
@@ -417,14 +412,14 @@ def check_double_coset_support(n: int, q: int, nu, P: StandardParabolic,
     Each Bruhat cell Bbar w B lies in Qbar w P, so the permutation matrix of
     w (row a is e_w(a)) decides its cell: only the cells off the big cell
     are tested, one matrix each, and no kappa of the group is enumerated.
+    On a det^b twist, each matrix acts only (+-1)^b times as on the construction.
     """
     _require_enumerable(n, q)
     V = make_weight(tuple(nu), q)
     if not _support_hypothesis(V, P, Q):
         raise ValueError("regularity hypothesis violated for this (nu, P, Q)")
     mod = _module(n, q, V.nu)
-    inv = invariant_space(mod, P)
-    K, piv = coinvariant_kernel(mod, Q)
+    inv, (K, piv) = mod.subspaces(P)[0], mod.subspaces(Q)[1]
     off = (tuple(tuple(int(b == c) for b in range(n)) for c in w)
            for w in permutations(range(n)) if not in_big_cell(w, Q, P))
     return not any(any(_reduce_mod(K, piv, mod.act(kappa, v), q))
@@ -474,8 +469,7 @@ def verify_gates(max_n: int, max_q: int):
                 record("minuscule", check_minuscule_satake(n, q, i), i=i)
             for i in range(1, n + 1):
                 record("iwahori", check_iwahori_coset_count(n, q, i), i=i)
-            mods = supported_weight_modules(n, q)
-            for nu in sorted(mods):
+            for nu in sorted(supported_weight_modules(n, q)):
                 for P in all_parabolics(n):
                     record("invariants", check_invariants_coinvariants(n, q, nu, P),
                            nu=list(nu), P=list(P.composition))

@@ -297,6 +297,26 @@ def test_a_large_interval_is_a_domain_error_at_once():
             1, {"error": {"kind": "domain", "message": message}}, "")
 
 
+def test_a_levi_rank_past_13_is_a_domain_error_at_once():
+    # the T -> tau row scans 2^|Delta_M| subsets: the trivial weight at
+    # n = 14 (rank 13) still expands, and n = 22 is refused before the scan
+    # that took 10 s
+    def satake(n):
+        lam = ",".join(["-1"] + ["0"] * (n - 2) + ["1"])
+        job = {"command": "satake",
+               "params": {"n": n, "q": 3, "nu": ",".join(["0"] * n), "lam": lam}}
+        start = time.perf_counter()
+        code, text = run_job(job)
+        return code, json.loads(text), time.perf_counter() - start
+
+    code, report, _ = satake(14)
+    assert (code, report["basis"], len(report["terms"])) == (0, "tau", 2)
+    code, report, seconds = satake(22)
+    assert seconds < 1
+    assert (code, report) == (1, {"error": {
+        "kind": "domain", "message": "Levi rank too large for the unit-cube expansion"}})
+
+
 def test_one_job_factors_its_q_once():
     # the CLI's field, FqField and WeightClass share one trial division of q
     _smallest_factor.cache_clear()
@@ -360,6 +380,8 @@ VERIFY_PINS = {
     (3, 2): "49f7f851768a61a22cd92d88e7b7244fa3faad70180213bfec411b639d1b9601",
     (2, 5): "7066f10dc6816c02a2798ed0f9084efe9ed878fb6047d6d32e3c2a4cc95d961e",
     (4, 2): "8332083e9798b58c6a3158b5ff0e1aea86291034c7b5570d1bc3f91dd2826434",
+    (2, 7): "4887c93f42e340ff0dc97695bda704859738f2593d3ef25a98e3d64dc7bac4a6",
+    (2, 11): "d896888e93537d2963b8519087e560b8ec816cd3a22c1cc7fe278df2728c4a65",
 }
 
 

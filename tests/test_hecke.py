@@ -94,6 +94,20 @@ def test_closed_form_matches_reference_moebius_n6_row():
     check_rows_against_reference(StandardParabolic.full(6), [(-2, -1, -1, 1, 1, 2)])
 
 
+def test_T_to_tau_expands_up_to_levi_rank_13():
+    # every gap 2: each of the 2^|Delta_M| sets S is admissible, with
+    # mu = (-1)^|S|; one rank more is refused before any subset is scanned
+    for n in (14, 15):
+        lam = tuple(range(2 - 2 * n, 1, 2))
+        x = basis_element(make_weight((0,) * n, 3), "T", lam, F3)
+        if n == 14:
+            values = list(satake_T_to_tau(x).terms.values())
+            assert (values.count(F3.one), values.count(F3(-1))) == (4096, 4096)
+        else:
+            with pytest.raises(ValueError, match="Levi rank too large"):
+                satake_T_to_tau(x)
+
+
 def test_satake_T_to_tau_examples():
     e = satake_T_to_tau(basis_element(TRIV2, "T", (-2, 0), F3))
     assert e.terms == {(-2, 0): F3.one, (-1, -1): F3(-1)}

@@ -14,7 +14,7 @@ from gln_modp.oracle import (
     TinyWeightModule, _det, _radical_gens, _reduce_mod, _support_hypothesis,
     check_double_coset_support,
     check_invariants_coinvariants, check_iwahori_coset_count,
-    check_minuscule_satake, coinvariant_kernel, det_twist, exterior_power_module,
+    check_minuscule_satake, coinvariant_kernel, exterior_power_module,
     gaussian_factorial_ratio, gl_elements, group_order_formula, in_big_cell,
     invariant_space, iwasawa_orbit_counts,
     rref, supported_weight_modules, sym_power_module, verify_gates,
@@ -44,6 +44,27 @@ def mat_det(A, q):
                 f = M[r][c] * inv % q
                 M[r] = [(x - f * y) % q for x, y in zip(M[r], M[c])]
     return det % q
+
+
+def det_twist(construction, b):
+    """The reference det^b twist of a construction, a module of its own: the
+    gradings shifted by b, and the matrix of g the construction's times
+    det(g)^b by the Gaussian ``mat_det``."""
+    q = construction.q
+    gradings = tuple(tuple(x + b for x in w) for w in construction.gradings)
+
+    def matrix(g):
+        detb = pow(mat_det(g, q), b, q)
+        return tuple(tuple(x * detb % q for x in row) for row in construction.matrix(g))
+
+    return TinyWeightModule(q, gradings, matrix)
+
+
+@lru_cache(maxsize=64)
+def twisted(n, q, nu):
+    """The reference module of highest weight nu: the family's construction
+    at nu twisted by det^b, b the last entry of nu."""
+    return det_twist(supported_weight_modules(n, q)[nu], nu[-1])
 
 
 @lru_cache(maxsize=8)
@@ -318,12 +339,11 @@ def test_supported_family_contents():
 FAMILY_CASES = [(2, 3), (2, 5), (3, 2), (3, 3)]
 
 
-def construction_of(mod):
-    """A fresh copy of the untwisted construction that ``mod`` twists: its
-    top grading less b is (a, 0, ..., 0) for Sym^a, or the indicator of
-    the first k coordinates for Lambda^k with k >= 2."""
-    n, q = len(mod.gradings[0]), mod.q
-    top = [x - mod.b for x in mod.gradings[0]]
+def construction_of(n, q, nu):
+    """A fresh copy of the construction that nu twists: nu less its last
+    entry b is (a, 0, ..., 0) for Sym^a, or the indicator of the first k
+    coordinates for Lambda^k with k >= 2."""
+    top = [x - nu[-1] for x in nu]
     if sum(1 for x in top if x) >= 2:
         return exterior_power_module(n, q, sum(top))
     return sym_power_module(n, q, top[0])
@@ -331,38 +351,47 @@ def construction_of(mod):
 
 @pytest.mark.parametrize("n, q", FAMILY_CASES)
 def test_family_top_grading_is_the_highest_weight_line(n, q):
-    # the diagonal torus acts on each basis vector by the character of its
-    # grading, and the upper unipotent invariants are the first basis
-    # vector's line, so gradings[0] is the highest weight of the module
+    # the diagonal torus acts on each basis vector of a twist by the
+    # character of its grading, and the upper unipotent invariants are the
+    # first basis vector's line, so gradings[0] is the twist's highest weight
     torus = [tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
              for t in product(range(1, q), repeat=n)]
     for nu, mod in supported_weight_modules(n, q).items():
-        assert make_weight(mod.gradings[0], q).nu == nu
+        twist = twisted(n, q, nu)
+        assert make_weight(twist.gradings[0], q).nu == nu
         for t in torus:
             chars = [prod(pow(t[j][j], w[j], q) for j in range(n)) % q
-                     for w in mod.gradings]
-            assert mod.matrix(t) == tuple(tuple(c if i == j else 0 for j in range(mod.dim))
-                                          for i, c in enumerate(chars))
+                     for w in twist.gradings]
+            assert twist.matrix(t) == tuple(tuple(c if i == j else 0 for j in range(mod.dim))
+                                            for i, c in enumerate(chars))
         e0 = tuple(int(j == 0) for j in range(mod.dim))
+        assert invariant_space(twist, StandardParabolic.torus(n)) == (e0,)
         assert invariant_space(mod, StandardParabolic.torus(n)) == (e0,)
 
 
 @pytest.mark.parametrize("n, q", FAMILY_CASES)
 def test_family_matrices_are_det_twists_of_the_constructions(n, q):
+    # each value is a construction, listed under its q - 1 twists, and the
+    # twist at nu is that construction's det^b twist, b the last entry of nu
     els = gl_elements(n, q)
     sample = els[::max(1, len(els) // 25)]
-    for mod in supported_weight_modules(n, q).values():
-        construction = construction_of(mod)
-        assert mod.gradings == tuple(tuple(x + mod.b for x in w)
-                                     for w in construction.gradings)
+    family = supported_weight_modules(n, q)
+    twists = Counter(id(mod) for mod in family.values())
+    assert len(twists) == q + n - 2 and set(twists.values()) == {q - 1}
+    for nu, mod in family.items():
+        construction, b, twist = construction_of(n, q, nu), nu[-1], twisted(n, q, nu)
+        assert mod.gradings == construction.gradings
+        assert twist.gradings == tuple(tuple(x + b for x in w)
+                                       for w in construction.gradings)
         for g in sample:
-            detb = pow(mat_det(g, q), mod.b, q)
-            assert mod.matrix(g) == tuple(tuple(x * detb % q for x in row)
-                                          for row in construction.matrix(g))
+            assert mod.matrix(g) == construction.matrix(g)
+            detb = pow(mat_det(g, q), b, q)
+            assert twist.matrix(g) == tuple(tuple(x * detb % q for x in row)
+                                            for row in construction.matrix(g))
 
 
 def test_each_untwisted_matrix_is_built_once(monkeypatch):
-    # count the constructions per (n, q) and the untwisted matrices per
+    # count the constructions per (n, q) and the matrices per
     # (construction, g) while the gates run on freshly built families
     constructions, builds = Counter(), Counter()
 
@@ -370,13 +399,13 @@ def test_each_untwisted_matrix_is_built_once(monkeypatch):
         def build(n, q, degree):
             mod = builder(n, q, degree)
             constructions[n, q] += 1
-            untwisted = mod._untwisted
+            matrix = mod._build
 
             def counted(g):
                 builds[builder.__name__, n, q, degree, g] += 1
-                return untwisted(g)
+                return matrix(g)
 
-            mod._untwisted = counted
+            mod._build = counted
             return mod
         return build
 
@@ -389,6 +418,35 @@ def test_each_untwisted_matrix_is_built_once(monkeypatch):
         supported_weight_modules.cache_clear()
     assert constructions == {(2, q): q for q in (2, 3, 5)}  # q + n - 2 at n = 2
     assert builds and max(builds.values()) == 1
+
+
+def test_verify_gates_reduces_each_construction_once_per_parabolic(monkeypatch):
+    # a twist is a label: on a fresh family, invariant_space runs once per
+    # (construction, parabolic) and the highest-line check once per
+    # construction, however many twists and gates read them
+    spaces, lines = Counter(), Counter()
+    real_space, real_line = oracle.invariant_space, oracle._highest_line_ok
+
+    def space(mod, P):
+        spaces[id(mod), P] += 1
+        return real_space(mod, P)
+
+    def line(mod):
+        lines[id(mod)] += 1
+        return real_line(mod)
+
+    monkeypatch.setattr(oracle, "invariant_space", space)
+    monkeypatch.setattr(oracle, "_highest_line_ok", line)
+    supported_weight_modules.cache_clear()
+    try:
+        assert verify_gates(2, 5)["ok"]
+        constructions = {id(mod) for q in (2, 3, 5)
+                         for mod in supported_weight_modules(2, q).values()}
+    finally:
+        supported_weight_modules.cache_clear()
+    assert len(constructions) == 2 + 3 + 5
+    assert spaces == {(c, P): 1 for c in constructions for P in all_parabolics(2)}
+    assert lines == {c: 1 for c in constructions}
 
 
 def test_verify_gates_stops_both_scans_at_the_size_guard(monkeypatch):
@@ -441,14 +499,14 @@ def test_invariants_coinvariants_examples():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_torus_generators_catch_a_det_twist_of_the_matrices_alone(monkeypatch, q):
-    # the mutant's matrices are twisted by det^1 while its gradings are not:
-    # unipotent elements have det 1, so every radical sees the same subspaces
-    # and only the torus check can tell, on diag(c, 1) with c != 1
+    # the mutant is a construction whose matrices alone are scaled by det:
+    # unipotent elements have det 1, so every radical sees the same
+    # subspaces and only the torus check can tell, on diag(c, 1) with c != 1
     real = oracle._module
 
     def mutant(*key):
         mod = real(*key)
-        return TinyWeightModule(mod.q, mod.gradings, 1, mod.matrix)
+        return TinyWeightModule(mod.q, mod.gradings, det_twist(mod, 1).matrix)
 
     monkeypatch.setattr(oracle, "_module", mutant)
     for nu in supported_weight_modules(2, q):
@@ -456,10 +514,72 @@ def test_torus_generators_catch_a_det_twist_of_the_matrices_alone(monkeypatch, q
             mod, bad = real(2, q, nu), mutant(2, q, nu)
             assert invariant_space(bad, P) == invariant_space(mod, P)
             assert coinvariant_kernel(bad, P) == coinvariant_kernel(mod, P)
+            assert not bad.highest_line_ok
             assert not check_invariants_coinvariants(2, q, nu, P)
     monkeypatch.setattr(oracle, "_module", real)
     assert all(check_invariants_coinvariants(2, q, nu, P)
                for nu in supported_weight_modules(2, q) for P in all_parabolics(2))
+
+
+def per_twist_invariants_gate(mod, P):
+    """The invariants gate computed on one twisted module, every subspace
+    and the torus check built for it alone."""
+    n, q = len(mod.gradings[0]), mod.q
+    inv = invariant_space(mod, P)
+    K, piv = coinvariant_kernel(mod, P)
+    if len(inv) != mod.dim - len(K):
+        return False
+    if len(rref([_reduce_mod(K, piv, v, q) for v in inv], q)[0]) != len(inv):
+        return False
+    inv_U = invariant_space(mod, StandardParabolic.torus(n))
+    if len(inv_U) != 1:
+        return False
+    for j, c in product(range(n), range(2, q)):
+        t = tuple(tuple(c if i == k == j else int(i == k) for k in range(n)) for i in range(n))
+        scalar = pow(c, mod.gradings[0][j], q)
+        if mod.act(t, inv_U[0]) != tuple(x * scalar % q for x in inv_U[0]):
+            return False
+    bd = (0,) + P.boundaries + (n,)
+
+    def block_sums(vec):
+        return tuple(sum(vec[a:b]) for a, b in zip(bd, bd[1:]))
+
+    qualifying = [j for j, grading in enumerate(mod.gradings)
+                  if block_sums(grading) == block_sums(mod.gradings[0])]
+    return len(inv) == len(qualifying) and all(
+        v[j] == 0 for v in inv for j in range(mod.dim) if j not in qualifying)
+
+
+def per_twist_support_gate(mod, P, Q):
+    """The support gate computed on one twisted module: no permutation
+    matrix off the big cell projects V^{N_P} to nonzero coinvariants."""
+    n, q = len(mod.gradings[0]), mod.q
+    inv = invariant_space(mod, P)
+    K, piv = coinvariant_kernel(mod, Q)
+    return not any(any(_reduce_mod(K, piv, mod.act(permutation_matrix(w), v), q))
+                   for w in permutations(range(n)) if not in_big_cell(w, Q, P)
+                   for v in inv)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_twists_share_the_construction_subspaces_and_verdicts(n, q):
+    # every twist, built as a module of its own, has its construction's
+    # subspaces at each parabolic and the verdicts the gates now read off
+    # the construction, hypothesis triples of the support gate included
+    parabolics = all_parabolics(n)
+    triples = 0
+    for nu, mod in supported_weight_modules(n, q).items():
+        twist = twisted(n, q, nu)
+        for P in parabolics:
+            assert (invariant_space(twist, P), coinvariant_kernel(twist, P)) == mod.subspaces(P)
+            assert per_twist_invariants_gate(twist, P) == check_invariants_coinvariants(n, q, nu, P)
+            for Q in parabolics:
+                if _support_hypothesis(make_weight(nu, q), P, Q):
+                    assert (per_twist_support_gate(twist, P, Q)
+                            == check_double_coset_support(n, q, nu, P, Q))
+                    triples += 1
+    report = verify_gates(n, q)
+    assert triples == sum((r["n"], r["q"]) == (n, q) for r in report["double_coset"])
 
 
 def test_double_coset_support_examples():
@@ -552,8 +672,9 @@ def test_off_big_cell_matches_brute_force():
 
 def _projection_test(n, q, nu, P, Q):
     """kappa -> whether the projection of kappa * (invariants of the radical
-    of P) to the coinvariants of the opposite radical of Q is nonzero."""
-    mod = supported_weight_modules(n, q)[nu]
+    of P) to the coinvariants of the opposite radical of Q is nonzero, on
+    the reference twist of highest weight nu."""
+    mod = twisted(n, q, nu)
     inv = invariant_space(mod, P)
     K, piv = coinvariant_kernel(mod, Q)
     return lambda kappa: any(any(_reduce_mod(K, piv, mod.act(kappa, v), q)) for v in inv)
