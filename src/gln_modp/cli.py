@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import classify as cls
 from . import eigen as eig
@@ -172,9 +173,29 @@ def _datum_json(datum: cls.InductionDatum) -> dict:
             "blocks": [_block_json(b) for b in datum.blocks]}
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for what the handlers
+    return (str-keyed dicts, lists, tuples, str, int, bool, None), byte for
+    byte, through the C string encoder: with an indent, json.dumps runs the
+    pure-Python encoder.  Any other value raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(out, result) -> None:
-    out.write(result if isinstance(result, str)
-              else json.dumps(result, sort_keys=True, indent=2) + "\n")
+    out.write(result if isinstance(result, str) else _json(result) + "\n")
 
 
 def _fail(out, kind: str, message: str, **extra) -> int:

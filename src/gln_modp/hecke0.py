@@ -19,13 +19,15 @@ With this convention the defining relations hold literally:
 and the basis multiplication closes with a single signed term,
 T_w T_{w'} = (-1)^(l(w)+l(w')-l(w*w')) T_{w*w'}, where * is the Demazure
 (absorbing) product.  It is computed letter by letter over a reduced word of
-the left factor w, which in the derivation engine is a generator or a
-rotation (length at most 4 for n <= 5) while the right factor is long; see
-``signed_product``.  Every identity the program checks compares two
-products of basis elements, each of which is +-T_w over the integers, so
-``_chain`` returns the pair (defect parity, window): equal pairs mean
-equality over Z, and hence over every F_q, F_2 included.  The derivation
-engine's relations have coefficients +-1, so it computes with ints mod p.
+the left factor w, which is short while the right factor is long; see
+``signed_product``.  The derivation engine forms its generator and rotation
+translates in closed form and multiplies only by its operators
+S_{j..(n-1)} Pi and the U_i (length at most 6 for n <= 5).  Every identity
+the program checks compares two products of basis elements, each of which
+is +-T_w over the integers, so ``_chain`` returns the pair (defect parity,
+window): equal pairs mean equality over Z, and hence over every F_q, F_2
+included.  The derivation engine's relations have coefficients +-1, so it
+computes with ints mod p.
 
 Length is the affine inversion count
 
@@ -133,8 +135,8 @@ def reduced_word(x: tuple):
     return letters[::-1], rot
 
 
-# only generators, rotations and short operator words occur as left factors
-# (12 windows for derive n = 4, 16 for n = 5)
+# the left factors are the verify checks' generators and rotations and the
+# derivation's operators S_{i..(n-1)} Pi and U_i (5 windows for n = 4, 7 for n = 5)
 @lru_cache(maxsize=1024)
 def _left_word(window):
     """Reduced word of the element with this window as (letters last-first,
@@ -196,7 +198,8 @@ def _require_rank(n: int, what: str, max_rank: int) -> None:
         raise ValueError(f"{what} is measured up to rank {max_rank}; rank {n} is refused")
 
 
-# the largest rank measured to derive (n = 5 at cap 30, seconds in process)
+# the largest rank measured to derive: n = 5 at cap 30 takes a fifth of a
+# second in process; n = 6 needs cap 55 and takes about 7 s at 400 MB
 _DERIVE_MAX_RANK = 5
 # the largest rank each verify_* check accepts: word_shift grows like n^6
 # and takes under a second at n = 20 in process
@@ -337,36 +340,64 @@ class _ModuleEngine:
     """Sparse row reduction over the normal-form module symbols (l(x), x),
     with breadth-first generation of generator translates of the relations.
 
-    Coefficients are ints in [1, p-1].  Each (g, symbol) product is formed
-    once per engine: ``products[g][symbol]`` holds its key and defect parity,
-    or None when it has a finite right descent.  Rules A (``add_relation``)
-    and B (``expand_once``) skip only inserts that would reduce to zero and
-    change no state, so the rows are those of the full saturation."""
+    Coefficients are ints in [1, p-1].  The saturation forms two kinds of
+    translate in closed form, with no product and no descent scan:
+    ``generator_translate`` (T_{s_k}, one letter) and ``rotate`` (T_{Pi^a},
+    a relabelling); ``apply`` multiplies by any other left factor through
+    ``signed_product``.  Rules A (``add_relation``) and B (``expand_once``)
+    skip only inserts that would reduce to zero and change no state, so the
+    rows are those of the full saturation."""
 
     def __init__(self, n: int, cap: int, p: int):
+        self.n = n
         self.cap = cap
         self.p = p
         self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
-        self.products = {}      # g -> {key: (key of T_g key, defect parity) or None}
-        self.gens = [simple(n, k) for k in range(n)]
-        self.rots = [rotation(n, k) for k in range(1, n)]
 
     def apply(self, g: tuple, vec):
         """Left action of T_g on a module vector, projecting away symbols
         with finite right descents; l(z) = l(g) + l(y) - defect."""
         out, p = {}, self.p
-        products = self.products.setdefault(g, {})
         lg = len(_left_word(g)[0])
-        for key, c in vec.items():
-            hit = products.get(key, False)     # False: not formed yet
-            if hit is False:
-                defect, z = signed_product(g, key[1])
-                hit = None if has_finite_descent(z) else ((lg + key[0] - defect, z), defect & 1)
-                products[key] = hit
-            if hit:
-                _accumulate(out, hit[0], p - c if hit[1] else c, p)
+        for (l, y), c in vec.items():
+            defect, z = signed_product(g, y)
+            if not has_finite_descent(z):
+                _accumulate(out, (lg + l - defect, z), p - c if defect & 1 else c, p)
+        return out
+
+    def generator_translate(self, k: int, vec):
+        """``apply(simple(n, k), vec)`` one letter at a time.  The pair a < b
+        that ``signed_product`` compares is swapped (length + 1), otherwise
+        absorbed (T_{s_k} T_y = -T_y).  y has no finite right descent, so by
+        the exchange condition s_k y has one, s_j, exactly when
+        s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies."""
+        out, p, n = {}, self.p, self.n
+        for (l, y), c in vec.items():
+            a, b = (y[k - 1], y[k]) if k else (y[-1] - n, y[0])
+            if a > b:
+                _accumulate(out, (l, y), p - c, p)
+            elif b != a + 1 or a % n == 0:
+                z = list(y)
+                if k:
+                    z[k - 1], z[k] = b, a
+                else:
+                    z[-1], z[0] = b + n, a
+                _accumulate(out, (l + 1, tuple(z)), c, p)
+        return out
+
+    def rotate(self, a: int, vec):
+        """``apply(rotation(n, a), vec)``: l(Pi) = 0, so T_{Pi^a} T_y =
+        T_{Pi^a y} keeps the length and the right descents of y.  A bijection
+        on symbols, so the keys keep their order."""
+        n, out = self.n, {}
+        turn = n * (n + 1) // 2 + (n - a) * n   # sum(y) at deg y = n - a
+        for (l, y), c in vec.items():
+            if sum(y) < turn:
+                out[l, y[a:] + tuple(v + n for v in y[:a])] = c
+            else:                               # deg y + a >= n: one turn Pi^n = 1 off
+                out[l, tuple(v - n for v in y[a:]) + y[:a]] = c
         return out
 
     def reduce(self, vec):
@@ -410,8 +441,8 @@ class _ModuleEngine:
         Pi^k vec, and none is formed (rule A)."""
         if (row := self.insert(vec, depth)) is not None:
             self.frontier.append((row, depth))
-            for r in self.rots:
-                self.insert(self.apply(r, vec), depth)
+            for a in range(1, self.n):
+                self.insert(self.rotate(a, vec), depth)
 
     def expand_once(self):
         """One saturation round: translate every frontier row by each
@@ -422,8 +453,8 @@ class _ModuleEngine:
         self.depth += 1
         old, self.frontier = self.frontier, []
         for row, d in old:
-            for g in self.gens:
-                self.add_relation(self.apply(g, row), d + 1)
+            for k in range(self.n):
+                self.add_relation(self.generator_translate(k, row), d + 1)
 
     def ensure_zero(self, vec) -> int:
         """Saturate until the vector reduces to zero; returns the depth of

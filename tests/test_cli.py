@@ -7,6 +7,7 @@ import shlex
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gln_modp import cli, hecke0, oracle
 from gln_modp.cli import export_lattice_dot, main, run
@@ -26,6 +27,28 @@ def trivial_ps_datum(n):
     one = {"unramified": "1", "tame": 0}
     return {"P": [1] * n,
             "blocks": [{"kind": "steinberg", "size": 1, "Q": [1], "eta": one}] * n}
+
+
+_ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80é\u2028\uffff\ud800😀'
+_JSON_LEAVES = (st.none() | st.booleans()
+                | st.integers() | st.integers(-2**200, 2**200)
+                | st.text() | st.text(alphabet=_ESCAPES))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text() | st.text(alphabet=_ESCAPES), inner)),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_matches_indented_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [set()]}, b"x"])
+def test_json_writer_refuses_what_no_handler_returns(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_satake_job():

@@ -262,17 +262,88 @@ def test_derivation_report_depends_only_on_the_rank():
             assert derive_rotation_invariance(n, field=field).to_json() == expect, (n, field)
 
 
-def test_engine_forms_each_product_once(monkeypatch):
-    calls = []
+def _descent_free(x):
+    """x with its finite right descents peeled off, one length at a time:
+    the shortest element of x W_0, a module symbol's window."""
+    n = len(x)
+    while (j := next((j for j in range(1, n)
+                      if _length(_times_simple(x, j)) < _length(x)), None)) is not None:
+        x = _times_simple(x, j)
+    return x
 
-    def counting(x, y):
-        calls.append((x, y))
+
+def _product_verdict(g, key, p):
+    """T_g applied to the module symbol key = (l(y), y) through signed_product
+    and has_finite_descent: the general path of ``_ModuleEngine.apply``."""
+    defect, z = signed_product(g, key[1])
+    if has_finite_descent(z):
+        return {}
+    return {(key[0] + _length(g) - defect, z): p - 1 if defect & 1 else 1}
+
+
+def test_closed_form_translates_match_signed_product():
+    # every k, s_0 included, and every rotation power on random symbols;
+    # each branch of the generator form occurs, the two that the exchange
+    # condition tells apart included: b = a + 1 dies unless a = 0 mod n
+    rng, p = random.Random(15), 5
+    branches = {"absorbed": 0, "swapped": 0, "dies": 0, "affine_neighbours": 0}
+    for n in (2, 3, 4, 5, 6):
+        engine = h0mod._ModuleEngine(n, n * n, p)
+        for _ in range(300):
+            y = _descent_free(_long_perm(rng, n, 12))
+            key = (_length(y), y)
+            for k in range(n):
+                out = engine.generator_translate(k, {key: 1})
+                assert out == _product_verdict(simple(n, k), key, p), (k, y)
+                a, b = (y[k - 1], y[k]) if k else (y[-1] - n, y[0])
+                branches["absorbed" if a > b else "swapped" if out else "dies"] += 1
+                branches["affine_neighbours"] += b == a + 1 and a % n == 0
+            for a in range(1, n):
+                assert engine.rotate(a, {key: 1}) == _product_verdict(rotation(n, a), key, p)
+    assert min(branches.values()) > 100, branches
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engine_translates_match_signed_product(monkeypatch, n):
+    # every generator and rotation translate a derivation forms, key order
+    # included, equals the general product path on the same vector
+    generator_translate, rotate = h0mod._ModuleEngine.generator_translate, h0mod._ModuleEngine.rotate
+    symbols = []
+
+    def checked_generator(self, k, vec):
+        out = generator_translate(self, k, vec)
+        assert list(out.items()) == list(self.apply(simple(n, k), vec).items()), (k, vec)
+        symbols.extend(vec)
+        return out
+
+    def checked_rotate(self, a, vec):
+        out = rotate(self, a, vec)
+        assert list(out.items()) == list(self.apply(rotation(n, a), vec).items()), (a, vec)
+        symbols.extend(vec)
+        return out
+
+    monkeypatch.setattr(h0mod._ModuleEngine, "generator_translate", checked_generator)
+    monkeypatch.setattr(h0mod._ModuleEngine, "rotate", checked_rotate)
+    assert derive_rotation_invariance(n).status == "derived"
+    assert len(symbols) > 100
+
+
+def test_derive_multiplies_only_operators_and_translations(monkeypatch):
+    # generator and rotation translates take the closed forms; the only
+    # products left are U_i's and S_{i..(n-1)}Pi's idempotency defects and
+    # the trace's n - i cross terms per step: 2*3 + (3 + 2 + 1) at n = 4
+    n, calls = 4, []
+
+    def recording(x, y):
+        calls.append(x)
         return signed_product(x, y)
 
-    monkeypatch.setattr(h0mod, "signed_product", counting)
-    assert derive_rotation_invariance(4).status == "derived"
-    assert len(calls) > 1000
-    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(h0mod, "signed_product", recording)
+    assert derive_rotation_invariance(n).status == "derived"
+    others = {_operator_window(n, j) for j in range(1, n + 1)}
+    others |= {translation((1,) * i + (0,) * (n - i)) for i in range(1, n)}
+    assert len(calls) == 12
+    assert set(calls) <= others
 
 
 class _FullSaturation(h0mod._ModuleEngine):
@@ -280,7 +351,7 @@ class _FullSaturation(h0mod._ModuleEngine):
     inserted, and every kept row enters the frontier."""
 
     def add_relation(self, vec, depth=0):
-        for v in [vec] + [self.apply(r, vec) for r in self.rots]:
+        for v in [vec] + [self.rotate(a, vec) for a in range(1, self.n)]:
             if (row := self.insert(v, depth)) is not None:
                 self.frontier.append((row, depth))
 
@@ -453,26 +524,36 @@ def test_signed_product_matches_right_word_reference():
 
 @pytest.mark.parametrize("n,cap,longest", [(3, 20, 7), (4, 16, 15)])
 def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest):
-    """Every (generator or rotation or operator) x (module symbol) product the
-    engine forms at n = 3, and a fixed sample of them at n = 4."""
+    """Every (generator or rotation) x (module symbol) translate the engine
+    forms at n = 3, and a fixed sample of them at n = 4, against the
+    right-word walk and the length-based descent."""
+    generator_translate, rotate = h0mod._ModuleEngine.generator_translate, h0mod._ModuleEngine.rotate
     seen = {}
 
-    def recording(x, y):
-        out = signed_product(x, y)
-        seen.setdefault((x, y), out)
-        return out
+    def recording(form, factor):
+        def wrapped(self, j, vec):
+            for key in vec:
+                seen.setdefault((factor(n, j), key), (form(self, j, {key: 1}), self.p))
+            return form(self, j, vec)
+        return wrapped
 
-    monkeypatch.setattr(h0mod, "signed_product", recording)
+    monkeypatch.setattr(h0mod._ModuleEngine, "generator_translate",
+                        recording(generator_translate, simple))
+    monkeypatch.setattr(h0mod._ModuleEngine, "rotate", recording(rotate, rotation))
     try:
         derive_rotation_invariance(n, cap)
     except DerivationCapExceeded:
         pass
     pairs = sorted(seen)
-    assert max(_length(y) for _, y in pairs) >= longest
+    assert max(_length(y) for _, (_, y) in pairs) >= longest
     if len(pairs) > 1500:
         pairs = random.Random(13).sample(pairs, 1500)
-    for x, y in pairs:
-        assert seen[x, y] == _reference_signed_product(x, y), (x, y)
+    for x, (l, y) in pairs:
+        out, p = seen[x, (l, y)]
+        defect, z = _reference_signed_product(x, y)
+        dies = any(_length(_times_simple(z, k)) < _length(z) for k in range(1, n))
+        expect = {} if dies else {(l + _length(x) - defect, z): p - 1 if defect & 1 else 1}
+        assert out == expect, (x, y)
 
 
 def test_finite_descent_matches_length_definition():
