@@ -379,12 +379,8 @@ class _ModuleEngine:
             if a > b:
                 _accumulate(out, (l, y), p - c, p)
             elif b != a + 1 or a % n == 0:
-                z = list(y)
-                if k:
-                    z[k - 1], z[k] = b, a
-                else:
-                    z[-1], z[0] = b + n, a
-                _accumulate(out, (l + 1, tuple(z)), c, p)
+                z = y[:k - 1] + (b, a) + y[k + 1:] if k else (a,) + y[1:-1] + (b + n,)
+                _accumulate(out, (l + 1, z), c, p)
         return out
 
     def rotate(self, a: int, vec):
