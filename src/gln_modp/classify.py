@@ -19,12 +19,15 @@ of the choice poset.  That poset is B_delta on the bits of the constituent
 index: the binary digits of index i are the runs' choice masks, first run
 highest, and bit b of a run's mask is set when free boundary b is chosen.
 Reverse inclusion of the chosen parabolics is then i & j == j; the least
-constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.
+constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.  So
+the lower sets, the principal down-sets and the covering pairs depend on
+delta alone, and are built once per delta under a bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby, product
 
 from .eigen import ParamPair, SmoothCharacter
@@ -129,9 +132,11 @@ class ConstituentPoset:
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, i: int, j: int) -> bool:
+    @staticmethod
+    def leq(i: int, j: int) -> bool:
         """i below j: i chooses every free boundary j chooses, so every chosen
-        parabolic of i contains that of j; as index bits, i & j == j."""
+        parabolic of i contains that of j; as index bits, i & j == j.  The
+        order depends on the indices alone, not on the datum."""
         return i & j == j
 
 
@@ -215,16 +220,56 @@ def lower_sets(leq, k: int):
 
 
 @dataclass(frozen=True)
+class BooleanLowerSets:
+    """The lower sets of B_delta on range(2^delta), ordered by
+    ``ConstituentPoset.leq``.  They depend on delta alone, so every datum with
+    the same delta shares one instance."""
+
+    sets: tuple            # frozensets, sorted by (size, elements)
+    set_lists: tuple       # the same sets as sorted tuples
+    principal: tuple       # per index j, its down-set
+    covers: tuple          # pairs (a, b), sets[b] = sets[a] plus one element, in order
+
+
+@lru_cache(maxsize=6)
+def boolean_lower_sets(delta: int) -> BooleanLowerSets:
+    """The lower sets of B_delta, built once per delta: delta = 0..5 is one
+    cache entry each, and delta >= 6 is refused by ``lower_sets`` before any
+    enumeration, which adds no entry."""
+    k, leq = 1 << delta, ConstituentPoset.leq
+    sets = tuple(lower_sets(leq, k))
+    set_lists = tuple(tuple(sorted(s)) for s in sets)
+    principal = tuple(frozenset(i for i in range(k) if leq(i, j)) for j in range(k))
+    # a lower set is covered exactly by the lower sets one element larger;
+    # adding a larger j gives a later set in the (size, elements) order, so
+    # each set's covers come out in index order
+    masks = [sum(1 << i for i in t) for t in set_lists]
+    index = {m: idx for idx, m in enumerate(masks)}
+    covers = tuple((a, b) for a, m in enumerate(masks) for j in range(k)
+                   if not m >> j & 1 and (b := index.get(m | 1 << j)) is not None)
+    return BooleanLowerSets(sets, set_lists, principal, covers)
+
+
+@dataclass(frozen=True)
 class SubmoduleLattice:
     """The submodule lattice of an induction datum, encoded combinatorially:
     submodules are the lower sets of the constituent poset; the principal
     lower set at j is the unique submodule with cosocle j."""
 
     poset: ConstituentPoset
-    sets: tuple            # all lower sets, sorted by (size, elements)
-    principal: tuple       # per constituent index, its down-closure
+    lower: BooleanLowerSets  # the lower sets of B_delta, shared per delta
     socle: frozenset       # minimal constituents
     cosocle: frozenset     # maximal constituents
+
+    @property
+    def sets(self) -> tuple:
+        """All lower sets, sorted by (size, elements)."""
+        return self.lower.sets
+
+    @property
+    def principal(self) -> tuple:
+        """Per constituent index, its down-closure."""
+        return self.lower.principal
 
     @property
     def count(self) -> int:
@@ -234,7 +279,6 @@ class SubmoduleLattice:
 def submodule_lattice(datum: InductionDatum) -> SubmoduleLattice:
     poset = constituents(datum)
     k = len(poset)
-    sets = tuple(lower_sets(poset.leq, k))
-    principal = tuple(frozenset(i for i in range(k) if poset.leq(i, j)) for j in range(k))
     # B_delta has one least element, every bit set, and one greatest, none set
-    return SubmoduleLattice(poset, sets, principal, frozenset({k - 1}), frozenset({0}))
+    return SubmoduleLattice(poset, boolean_lower_sets(k.bit_length() - 1),
+                            frozenset({k - 1}), frozenset({0}))

@@ -189,8 +189,14 @@ def _json(value, indent: str = "\n") -> str:
         items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        if not value:
+            return "[]"
+        # a flat list of exact ints or exact strs (no bool) in one join
+        kinds = set(map(type, value))
+        items = (map(int.__repr__, value) if kinds == {int}
+                 else map(_quote, value) if kinds == {str}
+                 else [_json(v, inner) for v in value])
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -208,21 +214,14 @@ def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
     """DOT rendering: one node per lower set labelled by its constituent
     multiset, one edge per covering relation, deterministic ordering."""
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    sets = lattice.sets
     # DOT quoted strings escape backslash and double quote
     short = [rep.short().replace("\\", "\\\\").replace('"', '\\"')
              for rep in lattice.poset.elements]
-    for idx, s in enumerate(sets):
-        label = " + ".join(short[j] for j in sorted(s)) if s else "0"
+    for idx, t in enumerate(lattice.lower.set_lists):
+        label = " + ".join(short[j] for j in t) if t else "0"
         lines.append(f'  L{idx} [label="{label}"];')
-    # a lower set is covered exactly by the lower sets one element larger;
-    # adding a larger j gives a later set in the (size, elements) order, so
-    # each node's targets come out in index order
-    index = {s: idx for idx, s in enumerate(sets)}
-    for a, sa in enumerate(sets):
-        for j in range(len(short)):
-            if j not in sa and (b := index.get(sa | {j})) is not None:
-                lines.append(f"  L{a} -> L{b};")
+    # the covering pairs depend on delta alone and come in index order
+    lines += [f"  L{a} -> L{b};" for a, b in lattice.lower.covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -325,7 +324,7 @@ def _cmd_lattice(params, field):
     return {
         "constituents": [_datum_json(r.datum) for r in lattice.poset.elements],
         "lower_set_count": lattice.count,
-        "lower_sets": [sorted(s) for s in lattice.sets],
+        "lower_sets": lattice.lower.set_lists,
         "principal": [sorted(s) for s in lattice.principal],
         "socle": sorted(lattice.socle),
         "cosocle": sorted(lattice.cosocle),

@@ -23,6 +23,7 @@ def _lru_caches():
 def test_every_cache_is_bounded():
     caches = _lru_caches()
     for name in ("gln_modp.hecke0._left_word", "gln_modp.cli._parser",
+                 "gln_modp.classify.boolean_lower_sets",
                  "gln_modp.finite_field.default_modulus",
                  "gln_modp.finite_field._smallest_factor",
                  "gln_modp.oracle.gl_elements",

@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 
 from gln_modp import cli, hecke0, oracle
 from gln_modp.cli import export_lattice_dot, main, run
-from gln_modp.classify import InductionDatum, Steinberg, Supersingular, submodule_lattice
+from gln_modp.classify import (
+    InductionDatum, Steinberg, Supersingular, boolean_lower_sets, lower_sets, submodule_lattice,
+)
 from gln_modp.eigen import trivial_character
 from gln_modp.finite_field import FqField, _smallest_factor
 from gln_modp.root_datum import StandardParabolic
@@ -45,7 +47,15 @@ def test_json_writer_matches_indented_json_dumps(value):
     assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [set()]}, b"x"])
+@pytest.mark.parametrize("value", [
+    [1, True], [True, False], ["a", 1], [1, None], (), [[]], [2**200, -1],
+    (3, 0, -7), ["a", "b"], ['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é\u2028\uffff", "\ud800", "😀"],
+    {"k": ['"', "\n"], "i": [0, 1]}, [[1, 2], ["x"], []]])
+def test_json_writer_flat_lists_match_indented_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [1.5], [1, 1.5], {1: "a"}, {"a": [set()]}, b"x"])
 def test_json_writer_refuses_what_no_handler_returns(value):
     with pytest.raises(TypeError):
         cli._json(value)
@@ -153,17 +163,43 @@ def reference_lattice_dot(lattice):
     return "\n".join(lines) + "\n"
 
 
+TRIVIAL = trivial_character(FqField(3, 2), 3)
+ST1 = Steinberg(1, StandardParabolic.full(1), TRIVIAL)
+TWO_RUNS = InductionDatum(   # delta = 2: runs split by a supersingular block
+    StandardParabolic((1, 2, 2, 1, 1)),
+    (ST1, Steinberg(2, StandardParabolic.torus(2), TRIVIAL),
+     Supersingular(2, "s", TRIVIAL), ST1, ST1))
+
+
 def test_dot_covers_match_pairwise_reference():
-    one = trivial_character(FqField(3, 2), 3)
-    st1 = Steinberg(1, StandardParabolic.full(1), one)
-    two_runs = InductionDatum(   # runs split by a supersingular block
-        StandardParabolic((1, 2, 2, 1, 1)),
-        (st1, Steinberg(2, StandardParabolic.torus(2), one),
-         Supersingular(2, "s", one), st1, st1))
-    data = [InductionDatum(StandardParabolic.torus(n), (st1,) * n) for n in range(1, 6)]
-    for datum in data + [two_runs]:
+    data = [InductionDatum(StandardParabolic.torus(n), (ST1,) * n) for n in range(1, 6)]
+    for datum in data + [TWO_RUNS]:
         lattice = submodule_lattice(datum)
         assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
+
+
+def test_lattice_combinatorics_are_shared_per_delta():
+    # three delta = 2 data with different run shapes: one run of three
+    # characters, two runs split by a supersingular block, and one run of
+    # Steinberg blocks with non-trivial Q
+    data = [InductionDatum(StandardParabolic.torus(3), (ST1,) * 3), TWO_RUNS,
+            InductionDatum(StandardParabolic((2, 2, 1)), (
+                Steinberg(2, StandardParabolic.torus(2), TRIVIAL),
+                Steinberg(2, StandardParabolic.full(2), TRIVIAL), ST1))]
+    lattices = [submodule_lattice(datum) for datum in data]
+    for lattice in lattices:
+        poset, k = lattice.poset, len(lattice.poset)
+        assert k == 4 and lattice.lower is lattices[0].lower
+        assert lattice.sets == tuple(lower_sets(poset.leq, k))
+        assert lattice.lower.set_lists == tuple(tuple(sorted(s)) for s in lattice.sets)
+        assert lattice.principal == tuple(
+            frozenset(i for i in range(k) if poset.leq(i, j)) for j in range(k))
+        assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
+    # one entry per accepted delta = 0..5; a refused delta = 6 adds none
+    assert boolean_lower_sets.cache_info().maxsize == 6
+    size = boolean_lower_sets.cache_info().currsize
+    code, _ = run_job({"command": "lattice", "params": {"q": 3, "datum": trivial_ps_datum(7)}})
+    assert code == 1 and boolean_lower_sets.cache_info().currsize == size
 
 
 def test_dot_labels_escape_quotes_and_backslashes():
@@ -174,13 +210,16 @@ def test_dot_labels_escape_quotes_and_backslashes():
 
 
 def test_lattice_output_pinned():
-    # sha256 of `lattice` output for the length-16 principal series
-    # (delta = 4), captured from the exhaustive enumeration
-    for dot, digest in (
-            (False, "49436004b95209d8ccf89c3fb4b155bf31323869157c3d7f5371971d71137b47"),
-            (True, "a00410d9da865688ea659356c61561db755313f8a4ee0045951142e94e873a30")):
+    # sha256 of `lattice` output for the length-16 and length-32 principal
+    # series (delta = 4 and 5), captured from the uncached enumeration; the
+    # CI workflow checks the delta = 5 bytes through the argv path
+    for n, dot, digest in (
+            (5, False, "49436004b95209d8ccf89c3fb4b155bf31323869157c3d7f5371971d71137b47"),
+            (5, True, "a00410d9da865688ea659356c61561db755313f8a4ee0045951142e94e873a30"),
+            (6, False, "20d6405169e31cd7bcbbe4492a18cbc1a3f47e0dbcb4bb65a9fc22a857626827"),
+            (6, True, "f407fe458bcb8ca1030e2cf0fc9fa0391bec0a024c44a462bfc15b05b8336a95")):
         code, text = run_job({"command": "lattice",
-                              "params": {"q": 3, "datum": trivial_ps_datum(5), "dot": dot}})
+                              "params": {"q": 3, "datum": trivial_ps_datum(n), "dot": dot}})
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
