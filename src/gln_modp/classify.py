@@ -20,8 +20,8 @@ index: the binary digits of index i are the runs' choice masks, first run
 highest, and bit b of a run's mask is set when free boundary b is chosen.
 Reverse inclusion of the chosen parabolics is then i & j == j; the least
 constituent (every boundary chosen) is 2^delta - 1, the greatest is 0.  So
-the lower sets, the principal down-sets and the covering pairs depend on
-delta alone, and are built once per delta under a bounded cache.
+the submodule lattice depends on delta alone: it is built once per delta
+under a bounded cache, and every datum with that delta shares the object.
 """
 
 from __future__ import annotations
@@ -94,11 +94,14 @@ def delta(datum: InductionDatum) -> int:
     return len(datum.blocks) - len(_runs(datum.blocks))
 
 
+def _has_unit_supersingular(datum: InductionDatum) -> bool:
+    return any(isinstance(blk, Supersingular) and blk.size == 1 for blk in datum.blocks)
+
+
 def validate(datum: InductionDatum) -> bool:
     """Canonical-form constraints: supersingular blocks have size > 1 and
     consecutive Steinberg blocks have distinct twists."""
-    return delta(datum) == 0 and not any(
-        isinstance(blk, Supersingular) and blk.size == 1 for blk in datum.blocks)
+    return delta(datum) == 0 and not _has_unit_supersingular(datum)
 
 
 @dataclass(frozen=True)
@@ -220,65 +223,43 @@ def lower_sets(leq, k: int):
 
 
 @dataclass(frozen=True)
-class BooleanLowerSets:
-    """The lower sets of B_delta on range(2^delta), ordered by
-    ``ConstituentPoset.leq``.  They depend on delta alone, so every datum with
-    the same delta shares one instance."""
-
-    sets: tuple            # frozensets, sorted by (size, elements)
-    set_lists: tuple       # the same sets as sorted tuples
-    principal: tuple       # per index j, its down-set
-    covers: tuple          # pairs (a, b), sets[b] = sets[a] plus one element, in order
-
-
-@lru_cache(maxsize=6)
-def boolean_lower_sets(delta: int) -> BooleanLowerSets:
-    """The lower sets of B_delta, built once per delta: delta = 0..5 is one
-    cache entry each, and delta >= 6 is refused by ``lower_sets`` before any
-    enumeration, which adds no entry."""
-    k, leq = 1 << delta, ConstituentPoset.leq
-    sets = tuple(lower_sets(leq, k))
-    set_lists = tuple(tuple(sorted(s)) for s in sets)
-    principal = tuple(frozenset(i for i in range(k) if leq(i, j)) for j in range(k))
-    # a lower set is covered exactly by the lower sets one element larger;
-    # adding a larger j gives a later set in the (size, elements) order, so
-    # each set's covers come out in index order
-    masks = [sum(1 << i for i in t) for t in set_lists]
-    index = {m: idx for idx, m in enumerate(masks)}
-    covers = tuple((a, b) for a, m in enumerate(masks) for j in range(k)
-                   if not m >> j & 1 and (b := index.get(m | 1 << j)) is not None)
-    return BooleanLowerSets(sets, set_lists, principal, covers)
-
-
-@dataclass(frozen=True)
 class SubmoduleLattice:
-    """The submodule lattice of an induction datum, encoded combinatorially:
-    submodules are the lower sets of the constituent poset; the principal
-    lower set at j is the unique submodule with cosocle j."""
+    """The submodule lattice of a datum's 2^delta constituents: the lower sets
+    of B_delta on their indices, each a sorted tuple; the principal lower set
+    at j is the unique submodule with cosocle j."""
 
-    poset: ConstituentPoset
-    lower: BooleanLowerSets  # the lower sets of B_delta, shared per delta
-    socle: frozenset       # minimal constituents
-    cosocle: frozenset     # maximal constituents
-
-    @property
-    def sets(self) -> tuple:
-        """All lower sets, sorted by (size, elements)."""
-        return self.lower.sets
-
-    @property
-    def principal(self) -> tuple:
-        """Per constituent index, its down-closure."""
-        return self.lower.principal
+    sets: tuple            # all lower sets, sorted by (size, elements)
+    principal: tuple       # per constituent index j, its down-set
+    covers: tuple          # pairs (a, b), sets[b] = sets[a] plus one element, in order
+    socle: tuple           # the minimal constituent, every bit set
+    cosocle: tuple         # the maximal constituent, no bit set
 
     @property
     def count(self) -> int:
         return len(self.sets)
 
 
+@lru_cache(maxsize=6)
+def boolean_lower_sets(delta: int) -> SubmoduleLattice:
+    """The submodule lattice for 2^delta constituents, built once per delta:
+    delta = 0..5 is one cache entry each, and delta >= 6 is refused by
+    ``lower_sets`` before any enumeration, which adds no entry."""
+    k, leq = 1 << delta, ConstituentPoset.leq
+    sets = tuple(tuple(sorted(s)) for s in lower_sets(leq, k))
+    principal = tuple(tuple(i for i in range(k) if leq(i, j)) for j in range(k))
+    # a lower set is covered exactly by the lower sets one element larger;
+    # adding a larger j gives a later set in the (size, elements) order, so
+    # each set's covers come out in index order
+    masks = [sum(1 << i for i in t) for t in sets]
+    index = {m: idx for idx, m in enumerate(masks)}
+    covers = tuple((a, b) for a, m in enumerate(masks) for j in range(k)
+                   if not m >> j & 1 and (b := index.get(m | 1 << j)) is not None)
+    return SubmoduleLattice(sets, principal, covers, (k - 1,), (0,))
+
+
 def submodule_lattice(datum: InductionDatum) -> SubmoduleLattice:
-    poset = constituents(datum)
-    k = len(poset)
-    # B_delta has one least element, every bit set, and one greatest, none set
-    return SubmoduleLattice(poset, boolean_lower_sets(k.bit_length() - 1),
-                            frozenset({k - 1}), frozenset({0}))
+    """The shared lattice of the datum's delta; a size-1 supersingular block is
+    refused as ``constituents`` refuses it, without building them."""
+    if _has_unit_supersingular(datum):
+        raise ValueError("datum is not in canonical form")
+    return boolean_lower_sets(delta(datum))

@@ -210,18 +210,18 @@ def _fail(out, kind: str, message: str, **extra) -> int:
     return 2 if kind == "schema" else 1
 
 
-def export_lattice_dot(lattice: cls.SubmoduleLattice) -> str:
-    """DOT rendering: one node per lower set labelled by its constituent
-    multiset, one edge per covering relation, deterministic ordering."""
+def export_lattice_dot(poset: cls.ConstituentPoset, lattice: cls.SubmoduleLattice) -> str:
+    """DOT rendering of a datum's constituents and its lattice: one node per lower
+    set labelled by its constituent multiset, one edge per covering relation."""
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     # DOT quoted strings escape backslash and double quote
     short = [rep.short().replace("\\", "\\\\").replace('"', '\\"')
-             for rep in lattice.poset.elements]
-    for idx, t in enumerate(lattice.lower.set_lists):
+             for rep in poset.elements]
+    for idx, t in enumerate(lattice.sets):
         label = " + ".join(short[j] for j in t) if t else "0"
         lines.append(f'  L{idx} [label="{label}"];')
     # the covering pairs depend on delta alone and come in index order
-    lines += [f"  L{a} -> L{b};" for a, b in lattice.lower.covers]
+    lines += [f"  L{a} -> L{b};" for a, b in lattice.covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -319,15 +319,16 @@ def _cmd_lattice(params, field):
     q = _int(params["q"], "q")
     datum = _datum(field, q, params["datum"])
     lattice = cls.submodule_lattice(datum)
+    poset = cls.constituents(datum)
     if params.get("dot"):
-        return export_lattice_dot(lattice)
+        return export_lattice_dot(poset, lattice)
     return {
-        "constituents": [_datum_json(r.datum) for r in lattice.poset.elements],
+        "constituents": [_datum_json(r.datum) for r in poset.elements],
         "lower_set_count": lattice.count,
-        "lower_sets": lattice.lower.set_lists,
-        "principal": [sorted(s) for s in lattice.principal],
-        "socle": sorted(lattice.socle),
-        "cosocle": sorted(lattice.cosocle),
+        "lower_sets": lattice.sets,
+        "principal": lattice.principal,
+        "socle": lattice.socle,
+        "cosocle": lattice.cosocle,
     }
 
 

@@ -20,14 +20,14 @@ and the basis multiplication closes with a single signed term,
 T_w T_{w'} = (-1)^(l(w)+l(w')-l(w*w')) T_{w*w'}, where * is the Demazure
 (absorbing) product.  It is computed letter by letter over a reduced word of
 the left factor w, which is short while the right factor is long; see
-``signed_product``.  The derivation engine forms its generator and rotation
-translates in closed form and multiplies only by its operators
-S_{j..(n-1)} Pi and the U_i (length at most 6 for n <= 5).  Every identity
-the program checks compares two products of basis elements, each of which
-is +-T_w over the integers, so ``_chain`` returns the pair (defect parity,
-window): equal pairs mean equality over Z, and hence over every F_q, F_2
-included.  The derivation engine's relations have coefficients +-1, so it
-computes with ints mod p.
+``signed_product``.  The derivation engine acts only through the closed
+forms of its generator and rotation translates, and walks its operators
+S_{j..(n-1)} Pi and the U_i (length at most 6 for n <= 5) through them
+letter by letter.  Every identity the program checks compares two products
+of basis elements, each of which is +-T_w over the integers, so ``_chain``
+returns the pair (defect parity, window): equal pairs mean equality over Z,
+and hence over every F_q, F_2 included.  The derivation engine's relations
+have coefficients +-1, so it computes with ints mod p.
 
 Length is the affine inversion count
 
@@ -36,9 +36,9 @@ Length is the affine inversion count
 
 both wrapped and unwrapped inversion families.  It is never recounted:
 ``signed_product`` returns the defect l(x) + l(y) - l(z), the number of
-absorbed letters, so the derivation engine carries each module symbol as
-the key (length, window) with l(z) = l(x) + l(y) - defect, starting from
-closed forms (l(S_j ... S_{n-1} Pi) = n - j, l(U_i) = i(n - i)).
+absorbed letters, and the derivation engine carries each module symbol as
+the key (length, window), starting from closed forms (l(S_j ... S_{n-1} Pi)
+= n - j, l(U_i) = i(n - i)), with one more for each letter taken.
 """
 
 from __future__ import annotations
@@ -340,13 +340,12 @@ class _ModuleEngine:
     """Sparse row reduction over the normal-form module symbols (l(x), x),
     with breadth-first generation of generator translates of the relations.
 
-    Coefficients are ints in [1, p-1].  The saturation forms two kinds of
-    translate in closed form, with no product and no descent scan:
-    ``generator_translate`` (T_{s_k}, one letter) and ``rotate`` (T_{Pi^a},
-    a relabelling); ``apply`` multiplies by any other left factor through
-    ``signed_product``.  Rules A (``add_relation``) and B (``expand_once``)
-    skip only inserts that would reduce to zero and change no state, so the
-    rows are those of the full saturation."""
+    Coefficients are ints in [1, p-1].  The engine acts only through two
+    closed forms, with no product and no descent scan: ``generator_translate``
+    (T_{s_k}, one letter) and ``rotate`` (T_{Pi^a}, a relabelling); ``apply``
+    walks other left factors' reduced words through them.  Rules A
+    (``add_relation``) and B (``expand_once``) skip only inserts that would
+    reduce to zero and change no state, so the rows are the full saturation's."""
 
     def __init__(self, n: int, cap: int, p: int):
         self.n = n
@@ -357,19 +356,18 @@ class _ModuleEngine:
         self.depth = 0
 
     def apply(self, g: tuple, vec):
-        """Left action of T_g on a module vector, projecting away symbols
-        with finite right descents; l(z) = l(g) + l(y) - defect."""
-        out, p = {}, self.p
-        lg = len(_left_word(g)[0])
-        for (l, y), c in vec.items():
-            defect, z = signed_product(g, y)
-            if not has_finite_descent(z):
-                _accumulate(out, (lg + l - defect, z), p - c if defect & 1 else c, p)
-        return out
+        """T_g on a module vector: ``rotate`` by g's rotation, then translate by
+        the letters of g's reduced word, last first.  The symbols with a finite
+        right descent span a left submodule, so dropping them per letter is exact."""
+        letters, rot = _left_word(g)
+        vec = self.rotate(rot, vec)
+        for k in letters:
+            vec = self.generator_translate(k, vec)
+        return vec
 
     def generator_translate(self, k: int, vec):
-        """``apply(simple(n, k), vec)`` one letter at a time.  The pair a < b
-        that ``signed_product`` compares is swapped (length + 1), otherwise
+        """T_{s_k} on a module vector, as ``signed_product`` takes one letter:
+        the pair a < b that it compares is swapped (length + 1), otherwise
         absorbed (T_{s_k} T_y = -T_y).  y has no finite right descent, so by
         the exchange condition s_k y has one, s_j, exactly when
         s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies."""
@@ -384,7 +382,7 @@ class _ModuleEngine:
         return out
 
     def rotate(self, a: int, vec):
-        """``apply(rotation(n, a), vec)``: l(Pi) = 0, so T_{Pi^a} T_y =
+        """T_{Pi^a} on a module vector: l(Pi) = 0, so T_{Pi^a} T_y =
         T_{Pi^a y} keeps the length and the right descents of y.  A bijection
         on symbols, so the keys keep their order."""
         n, out = self.n, {}

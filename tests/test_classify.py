@@ -179,18 +179,18 @@ def test_trivial_principal_series_lengths_and_lattices():
 
 def test_lattice_laws():
     d = principal_series((ETA, ETA, ETA))
-    lat = submodule_lattice(d)
-    sets = set(lat.sets)
-    assert frozenset() in sets and frozenset(range(len(lat.poset))) in sets
+    lat, cp = submodule_lattice(d), constituents(d)
+    sets = set(map(frozenset, lat.sets))
+    assert frozenset() in sets and frozenset(range(len(cp))) in sets
     for a in sets:
         for b in sets:
             assert a | b in sets and a & b in sets
     for j, down in enumerate(lat.principal):
-        assert down in sets
-        assert max(down, key=lambda i: (lat.poset.leq(j, i), i) == j) is not None
+        assert frozenset(down) in sets
+        assert max(down, key=lambda i: (cp.leq(j, i), i) == j) is not None
         assert j in down
         for i in down:
-            assert lat.poset.leq(i, j)
+            assert cp.leq(i, j)
 
 
 def test_lower_sets_of_antichain():
@@ -234,11 +234,13 @@ def test_lower_sets_match_exhaustive_filter(poset):
 def test_dedekind_counts_and_lattice_closure():
     one = trivial_character(F9, Q)
     for d, count in enumerate((2, 3, 6, 20, 168, 7581)):
-        lat = submodule_lattice(principal_series((one,) * (d + 1)))
-        assert len(lat.poset) == 2 ** d and lat.count == count
-        sets = set(lat.sets)
+        datum = principal_series((one,) * (d + 1))
+        lat = submodule_lattice(datum)
+        assert len(constituents(datum)) == 2 ** d and lat.count == count
+        sets = set(map(frozenset, lat.sets))
+        principal = [frozenset(down) for down in lat.principal]
         assert len(sets) == count
-        assert all(lat.principal[j] <= s for s in sets for j in s)
+        assert all(principal[j] <= s for s in sets for j in s)
         if d <= 4:
             assert all(a | b in sets and a & b in sets for a in sets for b in sets)
         else:
@@ -246,7 +248,7 @@ def test_dedekind_counts_and_lattice_closure():
             # joining one principal set gives closure under unions and
             # intersections (57M pairs are too many to list here)
             assert frozenset() in sets
-            assert all(s | p in sets for s in sets for p in lat.principal)
+            assert all(s | p in sets for s in sets for p in principal)
 
 
 def test_lower_sets_refuse_large_posets():
@@ -254,6 +256,18 @@ def test_lower_sets_refuse_large_posets():
         lower_sets(lambda i, j: i <= j, 33)
     with pytest.raises(ValueError, match="poset too large"):
         lower_sets(lambda i, j: i == j, 32)  # an antichain: 2^32 lower sets
+
+
+def test_lattice_refuses_what_constituents_refuses():
+    # a size-1 supersingular block makes every constituent non-canonical; the
+    # shared lattice refuses it too, at delta = 0 and at delta = 1
+    for datum in (
+            InductionDatum(StandardParabolic.torus(2), (Supersingular(1, "s", ETA), st1(ETA1))),
+            InductionDatum(StandardParabolic.torus(3),
+                           (st1(ETA), st1(ETA), Supersingular(1, "s", ETA1)))):
+        for build in (constituents, submodule_lattice):
+            with pytest.raises(ValueError, match="datum is not in canonical form"):
+                build(datum)
 
 
 def test_chain_lattice_for_single_run():
@@ -305,18 +319,18 @@ def reference_order(cp):
 
 
 def assert_order_matches_reference(datum):
-    lat = submodule_lattice(datum)
-    cp, k = lat.poset, len(lat.poset)
+    lat, cp = submodule_lattice(datum), constituents(datum)
+    k = len(cp)
     leq = reference_order(cp)
     for j in range(k):
         assert [cp.leq(i, j) for i in range(k)] == [leq(i, j) for i in range(k)]
-    assert lat.principal == tuple(frozenset(i for i in range(k) if leq(i, j))
+    assert lat.principal == tuple(tuple(i for i in range(k) if leq(i, j))
                                   for j in range(k))
     # the exhaustive scans for minimal and maximal elements
-    assert lat.socle == frozenset(j for j in range(k)
-                                  if not any(leq(i, j) for i in range(k) if i != j))
-    assert lat.cosocle == frozenset(j for j in range(k)
-                                    if not any(leq(j, i) for i in range(k) if i != j))
+    assert lat.socle == tuple(j for j in range(k)
+                              if not any(leq(i, j) for i in range(k) if i != j))
+    assert lat.cosocle == tuple(j for j in range(k)
+                                if not any(leq(j, i) for i in range(k) if i != j))
 
 
 def test_bit_order_matches_the_order_of_the_chosen_parabolics():

@@ -7,16 +7,17 @@ import shlex
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gln_modp import cli, hecke0, oracle
+from gln_modp import classify, cli, hecke0, oracle
 from gln_modp.cli import export_lattice_dot, main, run
 from gln_modp.classify import (
-    InductionDatum, Steinberg, Supersingular, boolean_lower_sets, lower_sets, submodule_lattice,
+    ConstituentPoset, InductionDatum, Steinberg, Supersingular, boolean_lower_sets,
+    constituents, delta, lower_sets, submodule_lattice,
 )
-from gln_modp.eigen import trivial_character
+from gln_modp.eigen import SmoothCharacter, trivial_character
 from gln_modp.finite_field import FqField, _smallest_factor
-from gln_modp.root_datum import StandardParabolic
+from gln_modp.root_datum import StandardParabolic, all_parabolics
 
 
 def run_job(job):
@@ -141,17 +142,18 @@ def test_dot_shape_gl3():
     datum = InductionDatum(
         StandardParabolic.torus(3),
         tuple(Steinberg(1, StandardParabolic.full(1), one) for _ in range(3)))
-    dot = export_lattice_dot(submodule_lattice(datum))
+    dot = export_lattice_dot(constituents(datum), submodule_lattice(datum))
     assert dot.count("[label=") == 6
 
 
-def reference_lattice_dot(lattice):
-    """The DOT text with covers found by comparing every pair of lower sets."""
+def reference_lattice_dot(poset, sets):
+    """The DOT text of a datum's constituents and its lower sets, with covers
+    found by comparing every pair of lower sets."""
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    sets = lattice.sets
+    sets = [frozenset(s) for s in sets]
     for idx, s in enumerate(sets):
         if s:
-            label = " + ".join(lattice.poset.elements[j].short() for j in sorted(s))
+            label = " + ".join(poset.elements[j].short() for j in sorted(s))
         else:
             label = "0"
         lines.append(f'  L{idx} [label="{label}"];')
@@ -174,8 +176,8 @@ TWO_RUNS = InductionDatum(   # delta = 2: runs split by a supersingular block
 def test_dot_covers_match_pairwise_reference():
     data = [InductionDatum(StandardParabolic.torus(n), (ST1,) * n) for n in range(1, 6)]
     for datum in data + [TWO_RUNS]:
-        lattice = submodule_lattice(datum)
-        assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
+        poset, lattice = constituents(datum), submodule_lattice(datum)
+        assert export_lattice_dot(poset, lattice) == reference_lattice_dot(poset, lattice.sets)
 
 
 def test_lattice_combinatorics_are_shared_per_delta():
@@ -187,14 +189,14 @@ def test_lattice_combinatorics_are_shared_per_delta():
                 Steinberg(2, StandardParabolic.torus(2), TRIVIAL),
                 Steinberg(2, StandardParabolic.full(2), TRIVIAL), ST1))]
     lattices = [submodule_lattice(datum) for datum in data]
-    for lattice in lattices:
-        poset, k = lattice.poset, len(lattice.poset)
-        assert k == 4 and lattice.lower is lattices[0].lower
-        assert lattice.sets == tuple(lower_sets(poset.leq, k))
-        assert lattice.lower.set_lists == tuple(tuple(sorted(s)) for s in lattice.sets)
+    for datum, lattice in zip(data, lattices):
+        poset = constituents(datum)
+        k = len(poset)
+        assert k == 4 and lattice is lattices[0]
+        assert lattice.sets == tuple(tuple(sorted(s)) for s in lower_sets(poset.leq, k))
         assert lattice.principal == tuple(
-            frozenset(i for i in range(k) if poset.leq(i, j)) for j in range(k))
-        assert export_lattice_dot(lattice) == reference_lattice_dot(lattice)
+            tuple(i for i in range(k) if poset.leq(i, j)) for j in range(k))
+        assert export_lattice_dot(poset, lattice) == reference_lattice_dot(poset, lattice.sets)
     # one entry per accepted delta = 0..5; a refused delta = 6 adds none
     assert boolean_lower_sets.cache_info().maxsize == 6
     size = boolean_lower_sets.cache_info().currsize
@@ -205,7 +207,7 @@ def test_lattice_combinatorics_are_shared_per_delta():
 def test_dot_labels_escape_quotes_and_backslashes():
     one = trivial_character(FqField(3, 2), 3)
     datum = InductionDatum(StandardParabolic((2,)), (Supersingular(2, 'a"b\\c', one),))
-    dot = export_lattice_dot(submodule_lattice(datum))
+    dot = export_lattice_dot(constituents(datum), submodule_lattice(datum))
     assert '  L1 [label="Ind(ss2[a\\"b\\\\c])"];' in dot.splitlines()
 
 
@@ -222,6 +224,112 @@ def test_lattice_output_pinned():
                               "params": {"q": 3, "datum": trivial_ps_datum(n), "dot": dot}})
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# a supersingular block, then one run of three equal-twist Steinberg blocks
+# (delta = 2), the middle one with a non-trivial Q
+MIXED_DATUM = {"P": [2, 1, 2, 1], "blocks": [
+    {"kind": "supersingular", "size": 2, "label": "a", "central": {"unramified": "1", "tame": 0}},
+    {"kind": "steinberg", "size": 1, "Q": [1], "eta": {"unramified": "2", "tame": 1}},
+    {"kind": "steinberg", "size": 2, "Q": [1, 1], "eta": {"unramified": "2", "tame": 1}},
+    {"kind": "steinberg", "size": 1, "Q": [1], "eta": {"unramified": "2", "tame": 1}}]}
+
+
+def test_mixed_lattice_output_pinned():
+    # sha256 of `lattice` output for MIXED_DATUM, captured before the lattice
+    # was shared per delta; the CI workflow checks the same bytes through argv
+    for dot, digest in (
+            (False, "98798c3069164ffe62428a96289993a85702c65f081ccb9655dbad9e684b4b59"),
+            (True, "e1daa76ad5e58419115ad838563281582591de2438d72d5675dc57e21d8ba7cc")):
+        code, text = run_job({"command": "lattice",
+                              "params": {"q": 3, "datum": MIXED_DATUM, "dot": dot}})
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_lattice_job_builds_the_constituents_once(monkeypatch):
+    calls = []
+
+    def counting(datum):
+        calls.append(datum)
+        return constituents(datum)
+
+    monkeypatch.setattr(classify, "constituents", counting)
+    for dot in (False, True):
+        calls.clear()
+        code, _ = run_job({"command": "lattice",
+                           "params": {"q": 3, "datum": MIXED_DATUM, "dot": dot}})
+        assert code == 0 and len(calls) == 1
+
+
+def test_a_lattice_job_refuses_a_size_1_supersingular_block():
+    one = {"unramified": "1", "tame": 0}
+    datum = {"P": [1, 1], "blocks": [
+        {"kind": "supersingular", "size": 1, "label": "s", "central": one},
+        {"kind": "steinberg", "size": 1, "Q": [1], "eta": one}]}
+    for dot in (False, True):
+        code, text = run_job({"command": "lattice",
+                              "params": {"q": 3, "datum": datum, "dot": dot}})
+        assert code == 1
+        assert json.loads(text) == {"error": {
+            "kind": "domain", "message": "datum is not in canonical form"}}
+
+
+F9 = FqField(3, 2)
+F9_CHARS = st.builds(SmoothCharacter, st.sampled_from(tuple(F9.units())),
+                     st.integers(0, 1), st.just(3))
+
+
+@st.composite
+def induction_data(draw):
+    """A datum over a composition of n <= 5 with F_9 characters, drawn as the
+    acceptance suite draws them: half the Steinberg blocks that follow a
+    Steinberg block repeat its twist, so delta > 0 is common."""
+    P = draw(st.sampled_from(all_parabolics(draw(st.integers(2, 5)))))
+    blocks = []
+    for size in P.composition:
+        eta = draw(F9_CHARS)
+        if size > 1 and draw(st.booleans()):
+            blocks.append(Supersingular(size, f"s{size}", eta))
+            continue
+        if blocks and isinstance(blocks[-1], Steinberg) and draw(st.booleans()):
+            eta = blocks[-1].eta
+        sub = draw(st.sets(st.integers(1, size - 1))) if size > 1 else ()
+        blocks.append(Steinberg(size, StandardParabolic.from_delta(size, sub), eta))
+    return InductionDatum(P, tuple(blocks))
+
+
+@given(induction_data())
+@example(TWO_RUNS)   # the drawn data reach delta = 1; these reach 2, 3 and 4
+@example(InductionDatum(StandardParabolic.torus(4), (ST1,) * 4))
+@example(InductionDatum(StandardParabolic.torus(5), (ST1,) * 5))
+def test_lattice_job_pairs_the_constituents_with_the_reference_lattice(datum):
+    # the reference: the datum's constituents and the lower sets of their
+    # order, with the principal sets, socle and cosocle read off those sets
+    poset, k = constituents(datum), 2 ** delta(datum)
+    sets = lower_sets(ConstituentPoset.leq, k)
+    principal = [sorted(frozenset.intersection(*(s for s in sets if j in s)))
+                 for j in range(k)]
+    job = {"command": "lattice", "scalar_field": {"p": 3, "m": 2},
+           "params": {"q": 3, "datum": cli._datum_json(datum)}}
+    code, text = run_job(job)
+    assert code == 0 and len(poset) == k
+    assert json.loads(text) == {
+        "constituents": [cli._datum_json(r.datum) for r in poset.elements],
+        "lower_set_count": len(sets),
+        "lower_sets": [sorted(s) for s in sets],
+        "principal": principal,
+        "socle": [j for j in range(k) if principal[j] == [j]],
+        "cosocle": [j for j in range(k)
+                    if not any(j in principal[i] for i in range(k) if i != j)],
+    }
+    job["params"]["dot"] = True
+    code, text = run_job(job)
+    assert code == 0 and text == reference_lattice_dot(poset, sets)
+    # every datum with this delta shares the lattice object
+    trivial = InductionDatum(StandardParabolic.torus(delta(datum) + 1),
+                             (ST1,) * (delta(datum) + 1))
+    assert submodule_lattice(datum) is submodule_lattice(trivial)
 
 
 def test_lattice_delta_5_runs_and_delta_6_is_refused():

@@ -274,11 +274,21 @@ def _descent_free(x):
 
 def _product_verdict(g, key, p):
     """T_g applied to the module symbol key = (l(y), y) through signed_product
-    and has_finite_descent: the general path of ``_ModuleEngine.apply``."""
+    and has_finite_descent: the reference for the engine's closed forms."""
     defect, z = signed_product(g, key[1])
     if has_finite_descent(z):
         return {}
     return {(key[0] + _length(g) - defect, z): p - 1 if defect & 1 else 1}
+
+
+def _applied(g, vec, p):
+    """T_g on a module vector through ``_product_verdict``, symbol by symbol in
+    the vector's key order, each result added mod p."""
+    out = {}
+    for key, c in vec.items():
+        for sym, d in _product_verdict(g, key, p).items():
+            h0mod._accumulate(out, sym, c * d, p)
+    return out
 
 
 def test_closed_form_translates_match_signed_product():
@@ -306,19 +316,19 @@ def test_closed_form_translates_match_signed_product():
 @pytest.mark.parametrize("n", [3, 4])
 def test_engine_translates_match_signed_product(monkeypatch, n):
     # every generator and rotation translate a derivation forms, key order
-    # included, equals the general product path on the same vector
+    # included, equals the product path on the same vector
     generator_translate, rotate = h0mod._ModuleEngine.generator_translate, h0mod._ModuleEngine.rotate
     symbols = []
 
     def checked_generator(self, k, vec):
         out = generator_translate(self, k, vec)
-        assert list(out.items()) == list(self.apply(simple(n, k), vec).items()), (k, vec)
+        assert list(out.items()) == list(_applied(simple(n, k), vec, self.p).items()), (k, vec)
         symbols.extend(vec)
         return out
 
     def checked_rotate(self, a, vec):
         out = rotate(self, a, vec)
-        assert list(out.items()) == list(self.apply(rotation(n, a), vec).items()), (a, vec)
+        assert list(out.items()) == list(_applied(rotation(n, a), vec, self.p).items()), (a, vec)
         symbols.extend(vec)
         return out
 
@@ -328,10 +338,24 @@ def test_engine_translates_match_signed_product(monkeypatch, n):
     assert len(symbols) > 100
 
 
+def test_engine_apply_matches_signed_product():
+    # apply walks the operators S_{i..(n-1)}Pi and U_i through the closed
+    # forms; on random descent-free symbols it equals the product path
+    rng, p = random.Random(29), 5
+    for n in (2, 3, 4, 5):
+        engine = h0mod._ModuleEngine(n, n * n, p)
+        ops = [_operator_window(n, i) for i in range(1, n + 1)]
+        ops += [translation((1,) * i + (0,) * (n - i)) for i in range(1, n)]
+        for _ in range(60):
+            y = _descent_free(_long_perm(rng, n, 12))
+            key = (_length(y), y)
+            for g in ops:
+                assert engine.apply(g, {key: 1}) == _product_verdict(g, key, p), (g, y)
+
+
 def test_derive_multiplies_only_operators_and_translations(monkeypatch):
-    # generator and rotation translates take the closed forms; the only
-    # products left are U_i's and S_{i..(n-1)}Pi's idempotency defects and
-    # the trace's n - i cross terms per step: 2*3 + (3 + 2 + 1) at n = 4
+    # the engine acts through the closed forms alone; the only products left
+    # are the trace's n - i cross terms per step: 3 + 2 + 1 at n = 4
     n, calls = 4, []
 
     def recording(x, y):
@@ -342,7 +366,7 @@ def test_derive_multiplies_only_operators_and_translations(monkeypatch):
     assert derive_rotation_invariance(n).status == "derived"
     others = {_operator_window(n, j) for j in range(1, n + 1)}
     others |= {translation((1,) * i + (0,) * (n - i)) for i in range(1, n)}
-    assert len(calls) == 12
+    assert len(calls) == 6
     assert set(calls) <= others
 
 
