@@ -36,9 +36,9 @@ Length is the affine inversion count
 
 both wrapped and unwrapped inversion families.  It is never recounted:
 ``signed_product`` returns the defect l(x) + l(y) - l(z), the number of
-absorbed letters, and the derivation engine carries each module symbol as
-the key (length, window), starting from closed forms (l(S_j ... S_{n-1} Pi)
-= n - j, l(U_i) = i(n - i)), with one more for each letter taken.
+absorbed letters, and the derivation engine packs each module symbol
+(length, window) into one int key, in that order, from closed forms
+(l(S_j ... S_{n-1} Pi) = n - j, l(U_i) = i(n - i)), one more per letter taken.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def _require_rank(n: int, what: str, max_rank: int) -> None:
         raise ValueError(f"{what} is measured up to rank {max_rank}; rank {n} is refused")
 
 
-# the largest rank measured to derive: n = 5 at cap 30 takes a fifth of a
-# second in process; n = 6 needs cap 55 and takes about 7 s at 400 MB
+# the largest rank measured to derive: n = 5 at cap 30 takes a tenth of a
+# second in process; n = 6 needs cap 55 and takes about 4 s at 240 MB
 _DERIVE_MAX_RANK = 5
 # the largest rank each verify_* check accepts: word_shift grows like n^6
 # and takes under a second at n = 20 in process
@@ -259,8 +259,8 @@ def verify_translation_power(n: int, i: int) -> bool:
 #
 # The module is spanned by symbols T_x v for x with no finite right descent
 # (a reduced expression ending in a finite generator kills v, since each
-# finite S_k annihilates a vector fixed by the maximal compact); a module
-# vector is keyed by (l(x), x).  On top of that the engine imposes the
+# finite S_k annihilates a vector fixed by the maximal compact); symbols
+# are ordered by (l(x), x).  On top of that the engine imposes the
 # coset-decomposition relation
 #
 #     v  =  sum over i of  S_{i..(n-1)} Pi v
@@ -337,15 +337,19 @@ def _accumulate(terms: dict, key, c: int, p: int) -> None:
 
 
 class _ModuleEngine:
-    """Sparse row reduction over the normal-form module symbols (l(x), x),
-    with breadth-first generation of generator translates of the relations.
+    """Sparse row reduction over the normal-form module symbols T_x v, with
+    breadth-first generation of generator translates of the relations.
 
-    Coefficients are ints in [1, p-1].  The engine acts only through two
-    closed forms, with no product and no descent scan: ``generator_translate``
-    (T_{s_k}, one letter) and ``rotate`` (T_{Pi^a}, a relabelling); ``apply``
-    walks other left factors' reduced words through them.  Rules A
-    (``add_relation``) and B (``expand_once``) skip only inserts that would
-    reduce to zero and change no state, so the rows are the full saturation's."""
+    A symbol's key is one int ordered as the pair (l(x), x): l in the top
+    bits, then each window entry plus 2^(w-1) as a w-bit digit, the first
+    highest, then the rotation degree (below 8 under the rank guard) in the
+    low 3 bits, which never breaks a tie.  Coefficients are ints in [1, p-1].
+    The engine acts only through two closed forms, with no product and no
+    descent scan: ``generator_translate`` (T_{s_k}, one letter) and ``rotate``
+    (T_{Pi^a}, a relabelling); ``apply`` walks other left factors' reduced
+    words through them.  Rules A (``add_relation``) and B (``expand_once``)
+    skip only inserts that would reduce to zero and change no state, so the
+    rows are the full saturation's."""
 
     def __init__(self, n: int, cap: int, p: int):
         self.n = n
@@ -354,6 +358,27 @@ class _ModuleEngine:
         self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
+        # By Shi's formula l(x) = sum over i<j of |floor((x(j) - x(i))/n)|, a
+        # window's max - min is at most n(l + 1), and its mean is (n + 1)/2 + deg;
+        # lengths stay at most cap + n^2, so |x(i)| <= n(cap + n^2 + 3) < 2^(w-1).
+        w = (n * (cap + n * n + 3)).bit_length() + 1
+        self.width, self.offset, self.top = w, 1 << (w - 1), 3 + n * w  # length unit: 1 << top
+        shift = [3 + w * (n - 1 - i) for i in range(n)]     # entry i's digit
+        ones = ((1 << n * w) - 1) // ((1 << w) - 1) << 3    # a 1 in every digit
+        # s_k compares the entries at k - 1 and k; for s_0 the last entry, less n, and the first
+        self._pairs = [(shift[k - 1], shift[k], 0 if k else n,
+                        (1 << shift[k - 1]) - (1 << shift[k])) for k in range(n)]
+        # Pi^a moves the first a digits last: n more on them if deg + a < n, else n less on the rest
+        self._turns = [(3 + w * (n - a), (1 << w * a) - 1, (1 << w * (n - a)) - 1, 3 + w * a,
+                        n - a, n * (ones & (1 << 3 + w * a) - 1) + a,
+                        a - n - n * (ones >> 3 + w * a << 3 + w * a)) for a in range(n)]
+
+    def symbol(self, l: int, x: tuple) -> int:
+        """The key of the symbol T_x v, with l = l(x)."""
+        key = l
+        for v in x:
+            key = key << self.width | v + self.offset
+        return key << 3 | _rotation(x)
 
     def apply(self, g: tuple, vec):
         """T_g on a module vector: ``rotate`` by g's rotation, then translate by
@@ -367,31 +392,30 @@ class _ModuleEngine:
 
     def generator_translate(self, k: int, vec):
         """T_{s_k} on a module vector, as ``signed_product`` takes one letter:
-        the pair a < b that it compares is swapped (length + 1), otherwise
-        absorbed (T_{s_k} T_y = -T_y).  y has no finite right descent, so by
-        the exchange condition s_k y has one, s_j, exactly when
-        s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies."""
+        the pair a < b that it compares is swapped by one add (digits exchanged,
+        length + 1), otherwise absorbed (T_{s_k} T_y = -T_y).  y has no finite
+        right descent, so by the exchange condition s_k y has one, s_j, exactly
+        when s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies."""
         out, p, n = {}, self.p, self.n
-        for (l, y), c in vec.items():
-            a, b = (y[k - 1], y[k]) if k else (y[-1] - n, y[0])
+        left, right, turn, swap = self._pairs[k]
+        mask, unit, finite = (1 << self.width) - 1, 1 << self.top, self.offset % n
+        for key, c in vec.items():
+            a, b = (key >> left & mask) - turn, key >> right & mask
             if a > b:
-                _accumulate(out, (l, y), p - c, p)
-            elif b != a + 1 or a % n == 0:
-                z = y[:k - 1] + (b, a) + y[k + 1:] if k else (a,) + y[1:-1] + (b + n,)
-                _accumulate(out, (l + 1, z), c, p)
+                _accumulate(out, key, p - c, p)
+            elif b != a + 1 or a % n == finite:
+                _accumulate(out, key + (b - a) * swap + unit, c, p)
         return out
 
     def rotate(self, a: int, vec):
         """T_{Pi^a} on a module vector: l(Pi) = 0, so T_{Pi^a} T_y =
         T_{Pi^a y} keeps the length and the right descents of y.  A bijection
         on symbols, so the keys keep their order."""
-        n, out = self.n, {}
-        turn = n * (n + 1) // 2 + (n - a) * n   # sum(y) at deg y = n - a
-        for (l, y), c in vec.items():
-            if sum(y) < turn:
-                out[l, y[a:] + tuple(v + n for v in y[:a])] = c
-            else:                               # deg y + a >= n: one turn Pi^n = 1 off
-                out[l, tuple(v - n for v in y[a:]) + y[:a]] = c
+        out, top = {}, self.top
+        head, head_mask, rest_mask, rest, edge, up, down = self._turns[a]
+        for key, c in vec.items():
+            out[(key >> top << top) + ((key >> 3 & rest_mask) << rest) + (key & 7)
+                + ((key >> head & head_mask) << 3) + (up if key & 7 < edge else down)] = c
         return out
 
     def reduce(self, vec):
@@ -496,28 +520,29 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     for j, z in z_ops.items():
         assert not has_finite_descent(z), (j, z)
 
-    def idempotency_defect(key):
-        """T_g T_g v - T_g v as a module vector, where T_g v is the symbol key = (l(g), g)."""
-        out = engine.apply(key[1], {key: 1})
+    def idempotency_defect(g, key):
+        """T_g T_g v - T_g v as a module vector, where T_g v is the symbol key."""
+        out = engine.apply(g, {key: 1})
         _accumulate(out, key, -1, p)
         return out
 
     # the coset-decomposition relation: sum_j S_{j..(n-1)} Pi v - v = 0,
     # where l(S_{j..(n-1)} Pi) = n - j
-    rel = {(n - j, z_ops[j]): 1 for j in range(1, n + 1)}
-    rel[0, identity(n)] = p - 1
+    v = engine.symbol(0, identity(n))
+    rel = {engine.symbol(n - j, z_ops[j]): 1 for j in range(1, n + 1)}
+    rel[v] = p - 1
     engine.add_relation(rel)
 
     cap_used = 0
     try:
         for i in range(1, n):
             z = z_ops[i]
-            u_elem = translation((1,) * i + (0,) * (n - i))
+            u_elem = translation((1,) * i + (0,) * (n - i))     # U_i, of length i(n - i)
             assert not has_finite_descent(u_elem)
-            zv, uv = (n - i, z), (i * (n - i), u_elem)  # l(U_i) = i(n - i)
+            zv, uv = engine.symbol(n - i, z), engine.symbol(i * (n - i), u_elem)
 
-            r1 = engine.ensure_zero(idempotency_defect(zv))
-            r1u = engine.ensure_zero(idempotency_defect(uv))
+            r1 = engine.ensure_zero(idempotency_defect(z, zv))
+            r1u = engine.ensure_zero(idempotency_defect(u_elem, uv))
 
             # external hypothesis: U_i nilpotent; with idempotency this kills U_i v
             engine.add_relation({uv: 1})
@@ -546,7 +571,7 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
                 derived=(f"U_{i}v = 0", f"{name}v = 0"),
             ))
 
-        rf = engine.ensure_zero({(0, identity(n)): 1, (0, rotation(n)): p - 1})  # v - Πv
+        rf = engine.ensure_zero({v: 1, engine.symbol(0, rotation(n)): p - 1})  # v - Πv
         cap_used = max(cap_used, rf)
         report.final_round = rf
         report.minimal_sufficient_cap = cap_used

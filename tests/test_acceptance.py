@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gln_modp.finite_field import FqField
 from gln_modp.root_datum import (
@@ -178,7 +178,14 @@ def induction_data(draw):
     return InductionDatum(P, tuple(blocks))
 
 
+# the drawn data reach delta = 2 at most; runs of four and five size-1
+# Steinberg blocks with one twist reach delta = 3 and 4
+ST1 = Steinberg(1, StandardParabolic.full(1), trivial_character(FqField(3, 2), 3))
+
+
 @given(induction_data())
+@example(InductionDatum(StandardParabolic.torus(4), (ST1,) * 4))
+@example(InductionDatum(StandardParabolic.torus(5), (ST1,) * 5))
 def test_criterion_4_property(d):
     """Criterion 4 as a property: 2^delta pairwise distinct, valid
     constituents sharing one eigenvalue pair."""

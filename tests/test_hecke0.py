@@ -232,14 +232,18 @@ def test_derivation_success():
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
     # insert takes the first key of reduce's remainder as the pivot; every
-    # key (length, window) carries the window's true length
+    # key is an int that unpacks to (length, window), the window's true
+    # length, in the order of those pairs
     reduce, sizes, engines = h0mod._ModuleEngine.reduce, [], set()
 
     def checked(self, vec):
+        assert all(type(key) is int for key in vec), vec
         rem, used = reduce(self, vec)
         keys = list(rem)
-        assert all(a > b for a, b in zip(keys, keys[1:])), keys
-        assert all(l == _length(x) for l, x in keys), keys
+        pairs = [_unpack(self, key) for key in keys]
+        assert all(a > b for a, b in zip(keys, keys[1:])), pairs
+        assert all(a > b for a, b in zip(pairs, pairs[1:])), pairs
+        assert all(l == _length(x) for l, x in pairs), pairs
         sizes.append(len(rem))
         engines.add(self)
         return rem, used
@@ -249,7 +253,9 @@ def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
     assert max(sizes) > 1
     (engine,) = engines
     assert len(engine.rows) > 1
-    assert all(l == _length(x) for l, x in engine.rows)
+    assert all(l == _length(x) for l, x in (_unpack(engine, key) for key in engine.rows))
+    symbols = [key for row, _ in list(engine.rows.values()) + engine.frontier for key in row]
+    assert all(type(key) is int for key in list(engine.rows) + symbols)
 
 
 def test_derivation_report_depends_only_on_the_rank():
@@ -272,6 +278,50 @@ def _descent_free(x):
     return x
 
 
+def _tuple_generator_translate(n, p, k, vec):
+    """T_{s_k} on a vector keyed by (length, window) pairs: the engine's
+    generator translate on unpacked symbols, the reference for its packed one."""
+    out = {}
+    for (l, y), c in vec.items():
+        a, b = (y[k - 1], y[k]) if k else (y[-1] - n, y[0])
+        if a > b:
+            h0mod._accumulate(out, (l, y), p - c, p)
+        elif b != a + 1 or a % n == 0:
+            z = y[:k - 1] + (b, a) + y[k + 1:] if k else (a,) + y[1:-1] + (b + n,)
+            h0mod._accumulate(out, (l + 1, z), c, p)
+    return out
+
+
+def _tuple_rotate(n, a, vec):
+    """T_{Pi^a} on a vector keyed by (length, window) pairs: the engine's
+    rotate on unpacked symbols, the reference for its packed one."""
+    out = {}
+    turn = n * (n + 1) // 2 + (n - a) * n   # sum(y) at deg y = n - a
+    for (l, y), c in vec.items():
+        if sum(y) < turn:
+            out[l, y[a:] + tuple(v + n for v in y[:a])] = c
+        else:                               # deg y + a >= n: one turn Pi^n = 1 off
+            out[l, tuple(v - n for v in y[a:]) + y[:a]] = c
+    return out
+
+
+def _unpack(engine, key):
+    """The (length, window) pair of a packed symbol key; its low 3 bits must
+    be the window's rotation degree."""
+    mask, window, rest = (1 << engine.width) - 1, [], key >> 3
+    for _ in range(engine.n):
+        window.append((rest & mask) - engine.offset)
+        rest >>= engine.width
+    window = tuple(reversed(window))
+    assert key & 7 == _rotation(window), (key, window)
+    return rest, window
+
+
+def _unpacked(engine, vec):
+    """A module vector with its keys unpacked, in the same order."""
+    return {_unpack(engine, key): c for key, c in vec.items()}
+
+
 def _product_verdict(g, key, p):
     """T_g applied to the module symbol key = (l(y), y) through signed_product
     and has_finite_descent: the reference for the engine's closed forms."""
@@ -292,24 +342,30 @@ def _applied(g, vec, p):
 
 
 def test_closed_form_translates_match_signed_product():
-    # every k, s_0 included, and every rotation power on random symbols;
-    # each branch of the generator form occurs, the two that the exchange
-    # condition tells apart included: b = a + 1 dies unless a = 0 mod n
+    # every k, s_0 included, and every rotation power on random symbols,
+    # packed and through the tuple reference; each branch of the generator
+    # form occurs, the two that the exchange condition tells apart included:
+    # b = a + 1 dies unless a = 0 mod n.  Cap 12 sizes the digits for
+    # lengths up to 12 + n^2.
     rng, p = random.Random(15), 5
     branches = {"absorbed": 0, "swapped": 0, "dies": 0, "affine_neighbours": 0}
     for n in (2, 3, 4, 5, 6):
-        engine = h0mod._ModuleEngine(n, n * n, p)
+        engine = h0mod._ModuleEngine(n, 12, p)
         for _ in range(300):
             y = _descent_free(_long_perm(rng, n, 12))
             key = (_length(y), y)
+            packed = {engine.symbol(*key): 1}
             for k in range(n):
-                out = engine.generator_translate(k, {key: 1})
+                out = _unpacked(engine, engine.generator_translate(k, packed))
                 assert out == _product_verdict(simple(n, k), key, p), (k, y)
+                assert _tuple_generator_translate(n, p, k, {key: 1}) == out, (k, y)
                 a, b = (y[k - 1], y[k]) if k else (y[-1] - n, y[0])
                 branches["absorbed" if a > b else "swapped" if out else "dies"] += 1
                 branches["affine_neighbours"] += b == a + 1 and a % n == 0
             for a in range(1, n):
-                assert engine.rotate(a, {key: 1}) == _product_verdict(rotation(n, a), key, p)
+                out = _unpacked(engine, engine.rotate(a, packed))
+                assert out == _product_verdict(rotation(n, a), key, p), (a, y)
+                assert _tuple_rotate(n, a, {key: 1}) == out, (a, y)
     assert min(branches.values()) > 100, branches
 
 
@@ -322,13 +378,15 @@ def test_engine_translates_match_signed_product(monkeypatch, n):
 
     def checked_generator(self, k, vec):
         out = generator_translate(self, k, vec)
-        assert list(out.items()) == list(_applied(simple(n, k), vec, self.p).items()), (k, vec)
+        expect = _applied(simple(n, k), _unpacked(self, vec), self.p)
+        assert list(_unpacked(self, out).items()) == list(expect.items()), (k, vec)
         symbols.extend(vec)
         return out
 
     def checked_rotate(self, a, vec):
         out = rotate(self, a, vec)
-        assert list(out.items()) == list(_applied(rotation(n, a), vec, self.p).items()), (a, vec)
+        expect = _applied(rotation(n, a), _unpacked(self, vec), self.p)
+        assert list(_unpacked(self, out).items()) == list(expect.items()), (a, vec)
         symbols.extend(vec)
         return out
 
@@ -340,17 +398,92 @@ def test_engine_translates_match_signed_product(monkeypatch, n):
 
 def test_engine_apply_matches_signed_product():
     # apply walks the operators S_{i..(n-1)}Pi and U_i through the closed
-    # forms; on random descent-free symbols it equals the product path
+    # forms; on random descent-free symbols it equals the product path.
+    # Cap 12 sizes the digits for lengths up to 12 + n^2.
     rng, p = random.Random(29), 5
     for n in (2, 3, 4, 5):
-        engine = h0mod._ModuleEngine(n, n * n, p)
+        engine = h0mod._ModuleEngine(n, 12, p)
         ops = [_operator_window(n, i) for i in range(1, n + 1)]
         ops += [translation((1,) * i + (0,) * (n - i)) for i in range(1, n)]
         for _ in range(60):
             y = _descent_free(_long_perm(rng, n, 12))
             key = (_length(y), y)
             for g in ops:
-                assert engine.apply(g, {key: 1}) == _product_verdict(g, key, p), (g, y)
+                out = engine.apply(g, {engine.symbol(*key): 1})
+                assert _unpacked(engine, out) == _product_verdict(g, key, p), (g, y)
+
+
+@given(st.integers(2, 6), st.randoms(use_true_random=False))
+def test_packed_symbols_match_the_tuple_reference(n, rng):
+    # two random symbols and their Pi-orbits, so every rotation degree and
+    # both branches of rotate, the degree wrap included: the packed keys
+    # unpack to the pairs, sort as the pairs do, and translate and rotate
+    # as the tuple reference does
+    p = 5
+    engine = h0mod._ModuleEngine(n, 12, p)
+    pairs = []
+    for _ in range(2):
+        y = _descent_free(_long_perm(rng, n, 12))
+        pairs += [next(iter(_tuple_rotate(n, a, {(_length(y), y): 1}))) for a in range(n)]
+    keys = [engine.symbol(*pair) for pair in pairs]
+    assert [_unpack(engine, key) for key in keys] == pairs
+    assert sorted(range(2 * n), key=keys.__getitem__) == sorted(range(2 * n), key=pairs.__getitem__)
+    for pair, key in zip(pairs, keys):
+        for k in range(n):
+            out = _unpacked(engine, engine.generator_translate(k, {key: 1}))
+            assert out == _tuple_generator_translate(n, p, k, {pair: 1}), (k, pair)
+        for a in range(1, n):
+            out = _unpacked(engine, engine.rotate(a, {key: 1}))
+            assert out == _tuple_rotate(n, a, {pair: 1}), (a, pair)
+
+
+@pytest.mark.parametrize("n,cap", [(2, None), (3, None), (4, None), (5, None), (5, 30)])
+def test_derivation_windows_stay_within_the_digit_bound(monkeypatch, n, cap):
+    # every symbol a derivation forms has l <= cap + n^2 and |x(i)| <= n(l + 3),
+    # the bound that sizes the digits, below the digit offset; each translate
+    # is formed again by the tuple reference from the pairs its input keys
+    # were formed from, and each key must unpack to its pair
+    generator_translate, rotate = h0mod._ModuleEngine.generator_translate, h0mod._ModuleEngine.rotate
+    symbol, truth = h0mod._ModuleEngine.symbol, {}
+
+    def formed(self, key, pair):
+        l, x = pair
+        assert truth.setdefault(key, pair) == pair == _unpack(self, key), (key, pair)
+        assert max(map(abs, x)) <= n * (l + 3) <= n * (self.cap + n * n + 3) < self.offset, pair
+
+    def recording(form, reference):
+        def wrapped(self, j, vec):
+            out = form(self, j, vec)
+            expect = reference(self, j, {truth[key]: c for key, c in vec.items()})
+            assert list(out.values()) == list(expect.values()), (j, vec)
+            for key, pair in zip(out, expect):
+                formed(self, key, pair)
+            return out
+        return wrapped
+
+    def recording_symbol(self, l, x):
+        key = symbol(self, l, x)
+        formed(self, key, (l, x))
+        return key
+
+    monkeypatch.setattr(h0mod._ModuleEngine, "generator_translate", recording(
+        generator_translate, lambda self, k, vec: _tuple_generator_translate(n, self.p, k, vec)))
+    monkeypatch.setattr(h0mod._ModuleEngine, "rotate", recording(
+        rotate, lambda self, a, vec: _tuple_rotate(n, a, vec)))
+    monkeypatch.setattr(h0mod._ModuleEngine, "symbol", recording_symbol)
+    try:
+        derive_rotation_invariance(n, cap)
+    except DerivationCapExceeded:
+        assert (n, cap) == (5, None)
+    assert len(truth) > n
+
+
+def test_huge_cap_only_widens_the_digits():
+    # a huge cap only widens the digits: the report is the default cap's
+    default = derive_rotation_invariance(3).to_json()
+    huge = derive_rotation_invariance(3, 10**6).to_json()
+    assert (default.pop("cap"), huge.pop("cap")) == (20, 10**6)
+    assert huge == default
 
 
 def test_derive_multiplies_only_operators_and_translations(monkeypatch):
@@ -557,7 +690,8 @@ def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest
     def recording(form, factor):
         def wrapped(self, j, vec):
             for key in vec:
-                seen.setdefault((factor(n, j), key), (form(self, j, {key: 1}), self.p))
+                out = _unpacked(self, form(self, j, {key: 1}))
+                seen.setdefault((factor(n, j), _unpack(self, key)), (out, self.p))
             return form(self, j, vec)
         return wrapped
 
