@@ -6,6 +6,11 @@ eigenvalue pairs, ``classify`` and ``lattice`` run the constituent engine,
 ``hecke0`` drives the affine 0-Hecke checks and the derivation engine, and
 ``verify`` runs the finite-group oracle gates.
 
+Each command is declared once, in ``_COMMANDS``: its help, its actions and its
+parameters, each with a kind (integer, vector, composition, JSON object, choice
+or flag) and a default or a required mark.  The argparse flags and the JSON
+reading both come from it: a junk value in any declared parameter is a schema error.
+
 Scalars print as coefficient vectors in the modulus basis, never as floats.
 A job can also be supplied whole as JSON via --json-in; the scalar field is
 taken from the job, from --field p[,m[,c0,..,cm]], or from the environment
@@ -23,6 +28,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from typing import Callable, NamedTuple
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import classify as cls
@@ -32,16 +38,20 @@ from . import hecke0 as h0
 from . import oracle as orc
 from .finite_field import FqField, prime_radical
 from .root_datum import StandardParabolic
-from .weights import (
-    make_levi_weight, make_weight,
-    restrict_to_levi, regular_cover, weight_partner_for_change, is_M_regular,
-)
+from .weights import (make_levi_weight, make_weight, restrict_to_levi, regular_cover,
+                      weight_partner_for_change, is_M_regular)
 
 ENV_FIELD = "GLN_MODP_FIELD"
 
 
 class SchemaError(Exception):
     pass
+
+
+class _Params(dict):
+    """A JSON object's values by key; a key it lacks is a schema error when read."""
+    def __missing__(self, name):
+        raise SchemaError(f"missing parameter {name!r}")
 
 
 def _int(value, name: str) -> int:
@@ -67,20 +77,38 @@ def _array(value, name: str):
     return value
 
 
-def _vec(text) -> tuple:
+def _unchecked_int(value, name: str) -> int:
+    return int(value)
+
+
+def _vec(text, name: str = "") -> tuple:
     try:
         return tuple(int(t) for t in str(text).split(","))
     except ValueError as exc:
         raise SchemaError(f"bad integer vector {text!r}") from exc
 
 
-def _comp(value) -> StandardParabolic:
+def _comp(value, name: str = "") -> StandardParabolic:
     if isinstance(value, str):
         value = _vec(value)
     try:
         return StandardParabolic(tuple(_int(v, "part") for v in value))
     except (SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad composition {value!r}") from exc
+
+
+def _flag(value, name: str) -> bool:
+    return bool(value)
+
+
+def _choice(what: str, *names: str):
+    """The kind of a parameter that takes one of ``names``."""
+    def read(value, name):
+        if value not in names:
+            raise SchemaError(f"unknown {what} {value!r}")
+        return value
+    read.choices = names
+    return read
 
 
 def _field_from_spec(spec) -> FqField:
@@ -108,12 +136,10 @@ def parse_field_text(text: str) -> dict:
 def _resolve_field(job) -> FqField:
     if job.get("scalar_field"):
         return _field_from_spec(job["scalar_field"])
-    env = os.environ.get(ENV_FIELD)
-    if env:
+    if env := os.environ.get(ENV_FIELD):
         return _field_from_spec(parse_field_text(env))
     q = job.get("params", {}).get("q")
-    p = prime_radical(_int(q, "q")) if q else 3
-    return FqField(p, 1)
+    return FqField(prime_radical(_int(q, "q")) if q else 3, 1)
 
 
 def _char(field: FqField, q: int, obj) -> eig.SmoothCharacter:
@@ -130,17 +156,18 @@ def _char_json(eta: eig.SmoothCharacter) -> dict:
 
 
 def _pair(field: FqField, q: int, obj) -> eig.ParamPair:
-    obj = _object(obj, "pair")
-    try:
-        M = _comp(obj["M"])
-        chars = tuple(_char(field, q, c) for c in _array(obj["chars"], "chars"))
-    except KeyError as exc:
-        raise SchemaError(f"pair needs M and chars: {obj!r}") from exc
-    return eig.ParamPair(M, chars)
+    obj = _Params(_object(obj, "pair"))
+    return eig.ParamPair(_comp(obj["M"]),
+                         tuple(_char(field, q, c) for c in _array(obj["chars"], "chars")))
+
+
+def _pair_json(pair: eig.ParamPair) -> dict:
+    return {"M": list(pair.M.composition), "chars": [_char_json(c) for c in pair.chars]}
 
 
 def _block(field: FqField, q: int, obj):
-    kind = _object(obj, "block").get("kind")
+    obj = _Params(_object(obj, "block"))
+    kind = obj.get("kind")
     if kind == "supersingular":
         return cls.Supersingular(_int(obj["size"], "size"), str(obj.get("label", "ss")),
                                  _char(field, q, obj["central"]))
@@ -159,13 +186,9 @@ def _block_json(blk) -> dict:
 
 
 def _datum(field: FqField, q: int, obj) -> cls.InductionDatum:
-    obj = _object(obj, "datum")
-    try:
-        P = _comp(obj["P"])
-        blocks = tuple(_block(field, q, b) for b in _array(obj["blocks"], "blocks"))
-    except KeyError as exc:
-        raise SchemaError(f"datum needs P and blocks: {obj!r}") from exc
-    return cls.InductionDatum(P, blocks)
+    obj = _Params(_object(obj, "datum"))
+    return cls.InductionDatum(_comp(obj["P"]),
+                              tuple(_block(field, q, b) for b in _array(obj["blocks"], "blocks")))
 
 
 def _datum_json(datum: cls.InductionDatum) -> dict:
@@ -226,165 +249,159 @@ def export_lattice_dot(poset: cls.ConstituentPoset, lattice: cls.SubmoduleLattic
     return "\n".join(lines) + "\n"
 
 
-# -- command handlers ---------------------------------------------------------
+# -- command handlers: each takes a job's params, read, and its scalar field --
 
-def _cmd_satake(params, field):
-    # a non-integer n still raises here; the fix is parked under ROADMAP
-    # item 1, because perfbench's injected-failure test relies on it
-    n, q = int(params["n"]), _int(params["q"], "q")
-    V = make_weight(_vec(params["nu"]), q)
-    if V.n != n:
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _weight(p):
+    return make_weight(p["nu"], p["q"])
+
+
+def _satake(p, field):
+    V, basis = _weight(p), p["basis"]
+    if V.n != p["n"]:
         raise SchemaError("nu has the wrong rank")
-    lam = _vec(params["lam"])
-    basis = params.get("basis", "T")
-    if basis not in ("T", "tau"):
-        raise SchemaError(f"unknown basis tag {basis!r}")
-    elem = hk.basis_element(V, basis, lam, field)
+    elem = hk.basis_element(V, basis, p["lam"], field)
     res = hk.satake_T_to_tau(elem) if basis == "T" else hk.satake_tau_to_T(elem)
-    return {
-        "weight": {"nu": ",".join(map(str, V.nu)), "q": q},
-        "basis": res.basis,
-        "terms": {",".join(map(str, k)): str(c) for k, c in res.terms.items()},
-    }
+    return {"weight": {"nu": _csv(V.nu), "q": p["q"]}, "basis": res.basis,
+            "terms": {_csv(k): str(c) for k, c in res.terms.items()}}
 
 
-def _cmd_weights(params, field):
-    action = params.get("action")
-    q = _int(params["q"], "q")
-    if action == "restrict":
-        V = make_weight(_vec(params["nu"]), q)
-        res = restrict_to_levi(V, _comp(params["P"]))
-        return {"M": list(res.M.composition), "nu": ",".join(map(str, res.nu))}
-    if action == "cover":
-        Vbar = make_levi_weight(_comp(params["M"]), _vec(params["nu"]), q)
-        res = regular_cover(Vbar)
-        return {"nu": ",".join(map(str, res.nu))}
-    if action == "partner":
-        V = make_weight(_vec(params["nu"]), q)
-        res = weight_partner_for_change(V, _int(params["i"], "i"))
-        return {"nu": ",".join(map(str, res.nu))}
-    if action == "regular":
-        V = make_weight(_vec(params["nu"]), q)
-        return {"regular": is_M_regular(V, _comp(params["M"]))}
-    raise SchemaError(f"unknown weights action {action!r}")
+def _restrict(p, field):
+    res = restrict_to_levi(_weight(p), p["P"])
+    return {"M": list(res.M.composition), "nu": _csv(res.nu)}
 
 
-def _cmd_eigen(params, field):
-    action = params.get("action")
-    q = _int(params["q"], "q")
-    pair = _pair(field, q, params["pair"])
-    if action == "eval-tau":
-        val = eig.eval_tau(pair, _vec(params["lam"]))
-        return {"value": str(val)}
-    if action == "eval-T":
-        V = make_weight(_vec(params["nu"]), q)
-        val = eig.eval_T(pair, _vec(params["lam"]), V)
-        return {"value": str(val)}
-    if action == "supersingular":
-        return {"supersingular": eig.is_supersingular(pair)}
-    if action == "factors":
-        return {"factors": eig.factors_through(pair, _comp(params["L"]))}
-    if action == "twist":
-        res = eig.twist(pair, _char(field, q, params["eta"]))
-        return {"M": list(res.M.composition),
-                "chars": [_char_json(c) for c in res.chars]}
-    if action == "applicable":
-        V = make_weight(_vec(params["nu"]), q)
-        ok = eig.change_of_weight_applicable(V, _int(params["i"], "i"), pair)
-        return {"applicable": ok}
-    raise SchemaError(f"unknown eigen action {action!r}")
+def _constituents(p, field):
+    poset = cls.constituents(p["datum"])
+    return {"count": len(poset), "delta": cls.delta(p["datum"]),
+            "constituents": [_datum_json(r.datum) for r in poset.elements]}
 
 
-def _cmd_classify(params, field):
-    action = params.get("action", "constituents")
-    q = _int(params["q"], "q")
-    datum = _datum(field, q, params["datum"])
-    if action == "validate":
-        return {"valid": cls.validate(datum), "delta": cls.delta(datum)}
-    if action == "constituents":
-        poset = cls.constituents(datum)
-        return {
-            "count": len(poset),
-            "delta": cls.delta(datum),
-            "constituents": [_datum_json(r.datum) for r in poset.elements],
-        }
-    if action == "pair":
-        pair = cls.param_pair(datum)
-        return {"M": list(pair.M.composition),
-                "chars": [_char_json(c) for c in pair.chars]}
-    raise SchemaError(f"unknown classify action {action!r}")
-
-
-def _cmd_lattice(params, field):
-    q = _int(params["q"], "q")
-    datum = _datum(field, q, params["datum"])
-    lattice = cls.submodule_lattice(datum)
-    poset = cls.constituents(datum)
-    if params.get("dot"):
+def _lattice(p, field):
+    lattice, poset = cls.submodule_lattice(p["datum"]), cls.constituents(p["datum"])
+    if p["dot"]:
         return export_lattice_dot(poset, lattice)
-    return {
-        "constituents": [_datum_json(r.datum) for r in poset.elements],
-        "lower_set_count": lattice.count,
-        "lower_sets": lattice.sets,
-        "principal": lattice.principal,
-        "socle": lattice.socle,
-        "cosocle": lattice.cosocle,
-    }
+    return {"constituents": [_datum_json(r.datum) for r in poset.elements],
+            "lower_set_count": lattice.count, "lower_sets": lattice.sets, "socle": lattice.socle,
+            "principal": lattice.principal, "cosocle": lattice.cosocle}
 
 
-def _cmd_hecke0(params, field):
-    action = params.get("action")
-    n = _int(params["n"], "n")
-    if action == "verify":
-        res = {
-            "braid_and_rotation": h0.verify_braid_and_rotation(n),
-            "word_shift": h0.verify_word_shift_identity(n),
-            "translation_powers": {
-                str(i): h0.verify_translation_power(n, i) for i in range(1, n)},
-        }
-        res["ok"] = (res["braid_and_rotation"] and res["word_shift"]
-                     and all(res["translation_powers"].values()))
-        return res
-    if action == "derive":
-        cap = {"length_cap": _int(params["cap"], "cap")} if "cap" in params else {}
-        return h0.derive_rotation_invariance(n, field=field, **cap).to_json()
-    raise SchemaError(f"unknown hecke0 action {action!r}")
+def _hecke0_verify(p, field):
+    n = p["n"]
+    res = {"braid_and_rotation": h0.verify_braid_and_rotation(n),
+           "word_shift": h0.verify_word_shift_identity(n),
+           "translation_powers": {str(i): h0.verify_translation_power(n, i) for i in range(1, n)}}
+    return dict(res, ok=res["braid_and_rotation"] and res["word_shift"]
+                and all(res["translation_powers"].values()))
 
 
-def _cmd_verify(params, field):
-    return orc.verify_gates(_int(params.get("max_n", 3), "max_n"),
-                            _int(params.get("max_q", 3), "max_q"))
+class _Param(NamedTuple):
+    """One parameter: the ``--name`` flag (or ``flags``) of the command line and the
+    ``name`` key of a JSON job's params, both read through ``kind``."""
+    name: str
+    kind: Callable
+    required: bool = False
+    default: object = None
+    help: str | None = None
+    flags: tuple = ()
 
 
-_HANDLERS = {
-    "satake": _cmd_satake,
-    "weights": _cmd_weights,
-    "eigen": _cmd_eigen,
-    "classify": _cmd_classify,
-    "lattice": _cmd_lattice,
-    "hecke0": _cmd_hecke0,
-    "verify": _cmd_verify,
-}
+def _command(name: str, text: str, handlers, *params: _Param, default=None):
+    """A row of ``_COMMANDS``: the help, one handler or a dict from each action to
+    its handler, and the parameters, the action first (``default`` if left out)."""
+    if isinstance(handlers, dict):
+        action = _choice(f"{name} action", *handlers)
+        params = (_Param("action", action, required=default is None, default=default),) + params
+    return name, (text, handlers, params)
+
+
+# the JSON-object kinds read the scalar field and q, and come on argv as JSON text
+_JSON_KINDS = (_pair, _datum, _char)
+_Q = _Param("q", _int, required=True)
+_DATUM = _Param("datum", _datum, help="induction datum JSON")
+
+_COMMANDS = dict((
+    _command(
+        "satake", "expand a Hecke basis element in the other basis", _satake,
+        # a non-integer n still raises in int(); the fix is parked under ROADMAP
+        # item 1, because perfbench's injected-failure test relies on it
+        _Param("n", _unchecked_int, required=True), _Q, _Param("nu", _vec, required=True),
+        _Param("lam", _vec, required=True, flags=("--lam", "--lambda")),
+        _Param("basis", _choice("basis tag", "T", "tau"), default="T")),
+    _command("weights", "highest-weight calculus", {
+        "restrict": _restrict,
+        "cover": lambda p, f: {"nu": _csv(regular_cover(
+            make_levi_weight(p["M"], p["nu"], p["q"])).nu)},
+        "partner": lambda p, f: {"nu": _csv(weight_partner_for_change(_weight(p), p["i"]).nu)},
+        "regular": lambda p, f: {"regular": is_M_regular(_weight(p), p["M"])},
+    }, _Q, _Param("nu", _vec, required=True), _Param("P", _comp), _Param("M", _comp),
+        _Param("i", _int)),
+    _command("eigen", "eigenvalue pairs", {
+        "eval-tau": lambda p, f: {"value": str(eig.eval_tau(p["pair"], p["lam"]))},
+        "eval-T": lambda p, f: {"value": str(eig.eval_T(p["pair"], p["lam"], _weight(p)))},
+        "supersingular": lambda p, f: {"supersingular": eig.is_supersingular(p["pair"])},
+        "factors": lambda p, f: {"factors": eig.factors_through(p["pair"], p["L"])},
+        "twist": lambda p, f: _pair_json(eig.twist(p["pair"], p["eta"])),
+        "applicable": lambda p, f: {"applicable": eig.change_of_weight_applicable(
+            _weight(p), p["i"], p["pair"])},
+    }, _Q, _Param("pair", _pair, help="pair JSON"),
+        _Param("lam", _vec, flags=("--lam", "--lambda")), _Param("nu", _vec), _Param("i", _int),
+        _Param("L", _comp), _Param("eta", _char, help="character JSON")),
+    _command("classify", "constituent classification", {
+        "validate": lambda p, f: {"valid": cls.validate(p["datum"]),
+                                  "delta": cls.delta(p["datum"])},
+        "constituents": _constituents,
+        "pair": lambda p, f: _pair_json(cls.param_pair(p["datum"])),
+    }, _Q, _DATUM, default="constituents"),
+    _command("lattice", "submodule lattice of an induction datum", _lattice,
+             _Q, _DATUM, _Param("dot", _flag, default=False, help="emit DOT text")),
+    _command("hecke0", "affine 0-Hecke checks and derivation", {
+        "verify": _hecke0_verify,
+        "derive": lambda p, f: h0.derive_rotation_invariance(p["n"], p.get("cap"), f).to_json(),
+    }, _Param("n", _int, required=True), _Param("cap", _int)),
+    _command("verify", "run the finite-group oracle gates",
+             lambda p, f: orc.verify_gates(p["max_n"], p["max_q"]),
+             _Param("max_n", _int, default=3), _Param("max_q", _int, default=3)),
+))
+
+
+def _flags(prm: _Param) -> tuple:
+    return prm.flags or ("--" + prm.name.replace("_", "-"),)
 
 
 def run(job, out) -> int:
     """Execute a JSON job spec and write its result: deterministic output,
-    structured errors.  A failed check (``"ok": false``) exits 1."""
+    structured errors.  Each declared parameter is read through its kind; an
+    absent one takes its default, or is a schema error if it is required.  The
+    action picks the handler.  ``"ok": false`` exits 1."""
     try:
         if not isinstance(job, dict):
             raise SchemaError("job must be a JSON object")
         command = job.get("command")
-        if command not in _HANDLERS:
+        if command not in _COMMANDS:
             raise SchemaError(f"unknown command {command!r}")
         params = job.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("params must be a JSON object")
         field = _resolve_field(job)
-        result = _HANDLERS[command](params, field)
+        _, handlers, specs = _COMMANDS[command]
+        p = _Params()
+        for prm in specs:
+            if prm.name in params:
+                value = params[prm.name]
+                p[prm.name] = (prm.kind(field, p["q"], value) if prm.kind in _JSON_KINDS
+                               else prm.kind(value, prm.name))
+            elif prm.default is not None:
+                p[prm.name] = prm.default
+            elif prm.required:
+                raise SchemaError(f"missing parameter {prm.name!r}")
+        handler = handlers[p["action"]] if isinstance(handlers, dict) else handlers
+        result = handler(p, field)
     except SchemaError as exc:
         return _fail(out, "schema", str(exc))
-    except KeyError as exc:
-        return _fail(out, "schema", f"missing parameter {exc}")
     except h0.DerivationCapExceeded as exc:
         return _fail(out, "domain", str(exc), report=exc.report.to_json())
     except (ValueError, ZeroDivisionError) as exc:
@@ -393,68 +410,24 @@ def run(job, out) -> int:
     return 1 if isinstance(result, dict) and result.get("ok") is False else 0
 
 
-def _add_common(sub):
-    sub.add_argument("--json-in", help="read the whole job spec from a JSON file")
-    sub.add_argument("--out", help="write output to a file instead of stdout")
-    sub.add_argument("--field", help="scalar field as p[,m[,c0,..,cm]]")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gln-modp", description=__doc__.splitlines()[0])
     sp = ap.add_subparsers(dest="command", required=True)
-
-    satake = sp.add_parser("satake", help="expand a Hecke basis element in the other basis")
-    satake.add_argument("--n", type=int, required=True)
-    satake.add_argument("--q", type=int, required=True)
-    satake.add_argument("--nu", required=True)
-    satake.add_argument("--lam", "--lambda", dest="lam", required=True)
-    satake.add_argument("--basis", choices=["T", "tau"], default="T")
-    _add_common(satake)
-
-    weights = sp.add_parser("weights", help="highest-weight calculus")
-    weights.add_argument("action", choices=["restrict", "cover", "partner", "regular"])
-    weights.add_argument("--q", type=int, required=True)
-    weights.add_argument("--nu", required=True)
-    weights.add_argument("--P")
-    weights.add_argument("--M")
-    weights.add_argument("--i", type=int)
-    _add_common(weights)
-
-    eigen = sp.add_parser("eigen", help="eigenvalue pairs")
-    eigen.add_argument("action", choices=["eval-tau", "eval-T", "supersingular",
-                                          "factors", "twist", "applicable"])
-    eigen.add_argument("--q", type=int, required=True)
-    eigen.add_argument("--pair", help="pair JSON")
-    eigen.add_argument("--lam", "--lambda", dest="lam")
-    eigen.add_argument("--nu")
-    eigen.add_argument("--i", type=int)
-    eigen.add_argument("--L")
-    eigen.add_argument("--eta", help="character JSON")
-    _add_common(eigen)
-
-    classify = sp.add_parser("classify", help="constituent classification")
-    classify.add_argument("action", choices=["validate", "constituents", "pair"],
-                          nargs="?", default="constituents")
-    classify.add_argument("--q", type=int, required=True)
-    classify.add_argument("--datum", help="induction datum JSON")
-    _add_common(classify)
-
-    lattice = sp.add_parser("lattice", help="submodule lattice of an induction datum")
-    lattice.add_argument("--q", type=int, required=True)
-    lattice.add_argument("--datum", help="induction datum JSON")
-    lattice.add_argument("--dot", action="store_true", help="emit DOT text")
-    _add_common(lattice)
-
-    hecke0 = sp.add_parser("hecke0", help="affine 0-Hecke checks and derivation")
-    hecke0.add_argument("action", choices=["verify", "derive"])
-    hecke0.add_argument("--n", type=int, required=True)
-    hecke0.add_argument("--cap", type=int)
-    _add_common(hecke0)
-
-    verify = sp.add_parser("verify", help="run the finite-group oracle gates")
-    verify.add_argument("--max-n", type=int, default=3)
-    verify.add_argument("--max-q", type=int, default=3)
-    _add_common(verify)
+    for command, (text, _, params) in _COMMANDS.items():
+        sub = sp.add_parser(command, help=text)
+        for prm in params:
+            choices = getattr(prm.kind, "choices", None)
+            if prm.name == "action":
+                sub.add_argument("action", choices=choices, nargs=None if prm.required else "?")
+            elif prm.kind is _flag:
+                sub.add_argument(*_flags(prm), action="store_true", help=prm.help)
+            else:
+                sub.add_argument(*_flags(prm), dest=prm.name, required=prm.required,
+                                 type=int if prm.kind in (_int, _unchecked_int) else None,
+                                 choices=choices, help=prm.help)
+        sub.add_argument("--json-in", help="read the whole job spec from a JSON file")
+        sub.add_argument("--out", help="write output to a file instead of stdout")
+        sub.add_argument("--field", help="scalar field as p[,m[,c0,..,cm]]")
     return ap
 
 
@@ -485,37 +458,34 @@ def _job_from_args(args) -> dict:
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"{args.json_in!r} is not UTF-8 text: {exc.reason}") from exc
     else:
-        params = {key: value for key, value in vars(args).items()
-                  if value is not None and key not in ("command", "json_in", "out", "field")}
-        for key in ("pair", "datum", "eta"):
-            if key in params and isinstance(params[key], str):
+        _, _, specs = _COMMANDS[args.command]
+        params = {prm.name: value for prm in specs
+                  if (value := getattr(args, prm.name)) is not None}
+        for prm in specs:
+            if prm.kind in _JSON_KINDS and prm.name in params:
                 try:
-                    params[key] = json.loads(params[key])
+                    params[prm.name] = json.loads(params[prm.name])
                 except json.JSONDecodeError as exc:
-                    raise SchemaError(f"malformed JSON for --{key}: {exc}") from exc
+                    raise SchemaError(f"malformed JSON for --{prm.name}: {exc}") from exc
         job = {"command": args.command, "params": params}
     if args.field and isinstance(job, dict) and not job.get("scalar_field"):
         job["scalar_field"] = parse_field_text(args.field)
     return job
 
 
-_VECTOR_FLAGS = {"--lam", "--lambda", "--nu"}
+_VECTOR_FLAGS = {flag for _, _, specs in _COMMANDS.values() for prm in specs
+                 if prm.kind is _vec for flag in _flags(prm)}
 
 
 def _merge_negative_vectors(argv):
     """Join vector flags with values that begin with a minus sign, so that
     ``--lam -2,0`` parses like ``--lam=-2,0``."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _VECTOR_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
-                and argv[i + 1][1].isdigit()):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 

@@ -273,11 +273,11 @@ def verify_translation_power(n: int, i: int) -> bool:
 
 
 class DerivationCapExceeded(Exception):
-    """Raised when the translate cap is exhausted before a target reduces;
-    carries the partial report (inconclusive, not a refutation)."""
+    """Raised when the translate cap or the row budget runs out before a target
+    reduces; carries the partial report (inconclusive, not a refutation)."""
 
-    def __init__(self, report):
-        super().__init__(f"translate length cap {report.cap} exhausted")
+    def __init__(self, report, message=None):
+        super().__init__(message or f"translate length cap {report.cap} exhausted")
         self.report = report
 
 
@@ -336,6 +336,12 @@ def _accumulate(terms: dict, key, c: int, p: int) -> None:
         del terms[key]
 
 
+# the most rows a derivation keeps, per rank: four times those of the derivation
+# (5, 50, 783 and 17,664 rows at n = 2..5, at every cap that derives and every p;
+# 519,887 at n = 6 with the rank guard raised), so a wrong closed form stops fast
+_ROW_BUDGET = {n: 4 * rows for n, rows in ((2, 5), (3, 50), (4, 783), (5, 17_664), (6, 519_887))}
+
+
 class _ModuleEngine:
     """Sparse row reduction over the normal-form module symbols T_x v, with
     breadth-first generation of generator translates of the relations.
@@ -358,6 +364,7 @@ class _ModuleEngine:
         self.rows = {}          # pivot key -> (row dict, depth)
         self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
+        self.budget = _ROW_BUDGET[n]
         # By Shi's formula l(x) = sum over i<j of |floor((x(j) - x(i))/n)|, a
         # window's max - min is at most n(l + 1), and its mean is (n + 1)/2 + deg;
         # lengths stay at most cap + n^2, so |x(i)| <= n(cap + n^2 + 3) < 2^(w-1).
@@ -461,6 +468,8 @@ class _ModuleEngine:
             self.frontier.append((row, depth))
             for a in range(1, self.n):
                 self.insert(self.rotate(a, vec), depth)
+            if len(self.rows) > self.budget:
+                raise _RowBudgetSignal(f"row budget of {self.budget} rows exhausted")
 
     def expand_once(self):
         """One saturation round: translate every frontier row by each
@@ -487,7 +496,11 @@ class _ModuleEngine:
 
 
 class _CapSignal(Exception):
-    pass
+    limit = "cap"       # what ran out before a target reduced
+
+
+class _RowBudgetSignal(_CapSignal):
+    limit = "row budget"
 
 
 def derive_rotation_invariance(n: int, length_cap: int | None = None,
@@ -503,8 +516,9 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
     ``minimal_sufficient_cap``, the deepest insertion round among the rows
     the reductions used; rows do not inherit the rounds of the rows that
     reduced them, so it can lie below the smallest working cap (ROADMAP
-    item 1).  An exhausted cap raises DerivationCapExceeded with the
-    inconclusive partial report attached; a rank above 5 raises ValueError.
+    item 1).  An exhausted cap, or more rows than the engine's budget for
+    the rank, raises DerivationCapExceeded with the inconclusive partial
+    report attached; a rank above 5 raises ValueError.
     ``field`` supplies only its characteristic p (3 by default), so the
     report is the same for every F_{p^m}.
     """
@@ -578,9 +592,9 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
         report.status = "derived"
         report.conclusion = "v = Πv"
         return report
-    except _CapSignal:
+    except _CapSignal as stop:
         report.status = "inconclusive"
         report.conclusion = (
-            "cap exhausted before reduction; no conclusion (not a refutation)")
+            f"{stop.limit} exhausted before reduction; no conclusion (not a refutation)")
         report.minimal_sufficient_cap = cap_used
-        raise DerivationCapExceeded(report) from None
+        raise DerivationCapExceeded(report, *stop.args) from None

@@ -636,9 +636,75 @@ def test_every_action_exits_0_and_main_prints_what_run_writes(name):
     assert _main_bytes(_argv(command, params)) == (0, text, "")
 
 
+def test_every_action_in_the_table_has_a_job():
+    # an action added to cli._COMMANDS without a job above fails here, so each
+    # one runs through both run and main
+    table = {(command, action) for command, (_, handlers, _) in cli._COMMANDS.items()
+             for action in (handlers if isinstance(handlers, dict) else [None])}
+    assert {(command, params.get("action")) for command, params in EVERY_ACTION.values()} == table
+
+
 def assert_schema_error(code, text):
     assert code == 2
     assert json.loads(text)["error"]["kind"] == "schema"
+
+
+# every integer, vector and composition parameter of the table: satake's n is
+# read with plain int() until its fix lands with ROADMAP item 1
+JUNK_CASES = [(command, prm.name) for command, (_, _, params) in cli._COMMANDS.items()
+              for prm in params if prm.kind in (cli._int, cli._vec, cli._comp)]
+
+
+@pytest.mark.parametrize("command, name", JUNK_CASES)
+def test_a_junk_value_is_a_schema_error_as_json_and_as_a_flag(command, name):
+    # the command's first job in EVERY_ACTION, whether its action reads the
+    # parameter or not (weights restrict reads no i)
+    params = dict(next(p for c, p in EVERY_ACTION.values() if c == command), **{name: "x"})
+    assert_schema_error(*run_job({"command": command, "params": params}))
+    code, out, err = _main_bytes(_argv(command, params))
+    assert code == 2
+    if out:
+        assert_schema_error(code, out)
+    else:
+        assert "invalid int value: 'x'" in err
+
+
+def test_weights_restrict_reads_i_although_it_needs_no_i():
+    assert ("weights", "i") in JUNK_CASES
+    code, text = run_job({"command": "weights", "params": {
+        "action": "restrict", "q": 3, "nu": "2,0", "P": "1,1", "i": "x"}})
+    assert (code, json.loads(text)) == (2, {"error": {"kind": "schema", "message": "bad integer i 'x'"}})
+
+
+def test_satake_n_list_still_raises():
+    # parked under ROADMAP item 1: perfbench's injected-failure test needs
+    # malformed.n_list to crash
+    with pytest.raises(TypeError):
+        run_job({"command": "satake", "params": {"n": [2], "q": 3, "nu": "0,0", "lam": "-2,0"}})
+
+
+def test_a_missing_parameter_or_block_key_is_named(tmp_path, capsys):
+    # a required parameter is missed before any handler runs, as argparse
+    # misses a required flag: the wrong rank of nu is never reached
+    for nu in ("0,0", "0,0,0"):
+        code, text = run_job({"command": "satake", "params": {"n": 2, "q": 3, "nu": nu}})
+        assert (code, json.loads(text)) == (2, {"error": {
+            "kind": "schema", "message": "missing parameter 'lam'"}})
+    block = {"kind": "supersingular", "label": "s", "central": {"unramified": "1", "tame": 0}}
+    path = _satake_job_file(tmp_path, {"command": "classify", "params": {
+        "q": 3, "datum": {"P": [2], "blocks": [block]}}})
+    code = main(["classify", "--q", "3", "--json-in", path])
+    assert (code, json.loads(capsys.readouterr().out)) == (2, {"error": {
+        "kind": "schema", "message": "missing parameter 'size'"}})
+
+
+def test_a_key_error_from_the_library_is_raised_not_reported(monkeypatch):
+    def broken(datum):
+        raise KeyError("size")
+
+    monkeypatch.setattr(classify, "delta", broken)
+    with pytest.raises(KeyError):
+        run_job({"command": "classify", "params": {"action": "validate", "q": 3, "datum": DATUM}})
 
 
 def test_malformed_field_text(capsys):

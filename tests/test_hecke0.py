@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -593,6 +594,45 @@ def test_cap_exceeded_reports_inconclusive(monkeypatch):
         h0mod.derive_rotation_invariance(2, 4)
     assert exc.value.report.status == "inconclusive"
     assert "not a refutation" in exc.value.report.conclusion
+
+
+def _wrong_death_test(self, k, vec):
+    """``generator_translate`` with the death test read off the packed digit
+    (a % n == 0) instead of the entry: a wrong closed form that never derives
+    v = Pi v at n = 3 and a huge cap, and grows by about 1,300 rows a round."""
+    out, p, n = {}, self.p, self.n
+    left, right, turn, swap = self._pairs[k]
+    mask, unit = (1 << self.width) - 1, 1 << self.top
+    for key, c in vec.items():
+        a, b = (key >> left & mask) - turn, key >> right & mask
+        if a > b:
+            h0mod._accumulate(out, key, p - c, p)
+        elif b != a + 1 or a % n == 0:
+            h0mod._accumulate(out, key + (b - a) * swap + unit, c, p)
+    return out
+
+
+def test_a_runaway_derivation_stops_at_the_row_budget(monkeypatch):
+    monkeypatch.setattr(h0mod._ModuleEngine, "generator_translate", _wrong_death_test)
+    start = time.perf_counter()
+    with pytest.raises(DerivationCapExceeded) as exc:
+        derive_rotation_invariance(3, 10**6)
+    report = exc.value.report
+    assert str(exc.value) == "row budget of 200 rows exhausted"
+    assert (report.status, report.conclusion) == (
+        "inconclusive",
+        "row budget exhausted before reduction; no conclusion (not a refutation)")
+    code, text = _cli_derive(n=3, cap=10**6)
+    assert (code, json.loads(text)) == (1, {"report": report.to_json(), "error": {
+        "kind": "domain", "message": "row budget of 200 rows exhausted"}})
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("n,cap", [(2, None), (3, None), (4, None), (5, 30)])
+def test_row_budget_is_four_times_the_measured_rows(monkeypatch, n, cap):
+    report, engine, _ = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
+    assert report["status"] == "derived"
+    assert 4 * len(engine.rows) == engine.budget == h0mod._ROW_BUDGET[n]
 
 
 # -- reference: the right-word walk, from the length definition alone ---------
