@@ -26,56 +26,56 @@ under a bounded cache, and every datum with that delta shares the object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
 
+from ._record import Record
 from .eigen import ParamPair, SmoothCharacter
 from .root_datum import StandardParabolic
 
 
-@dataclass(frozen=True)
-class Supersingular:
+class Supersingular(Record):
     """An opaque supersingular block: never constructed, only labelled."""
 
-    size: int
-    label: str
-    central: SmoothCharacter
+    __slots__ = ("size", "label", "central")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, label: str, central: SmoothCharacter):
+        if size < 1:
             raise ValueError("block size must be positive")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "central", central)
 
 
-@dataclass(frozen=True)
-class Steinberg:
+class Steinberg(Record):
     """A generalized Steinberg block twisted by a character: the pair of a
     standard parabolic Q of the block group and the twist eta.  Q equal to
     the full block group encodes the character eta itself."""
 
-    size: int
-    Q: StandardParabolic
-    eta: SmoothCharacter
+    __slots__ = ("size", "Q", "eta")
 
-    def __post_init__(self):
-        if self.Q.n != self.size:
+    def __init__(self, size: int, Q: StandardParabolic, eta: SmoothCharacter):
+        if Q.n != size:
             raise ValueError("Q must be a standard parabolic of the block group")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class InductionDatum:
-    P: StandardParabolic
-    blocks: tuple
+class InductionDatum(Record):
+    __slots__ = ("P", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if len(self.blocks) != len(self.P.composition):
+    def __init__(self, P: StandardParabolic, blocks: tuple):
+        blocks = tuple(blocks)
+        if len(blocks) != len(P.composition):
             raise ValueError("one block representation per Levi block required")
-        for size, blk in zip(self.P.composition, self.blocks):
+        for size, blk in zip(P.composition, blocks):
             if not isinstance(blk, (Supersingular, Steinberg)):
                 raise ValueError(f"unknown block representation {blk!r}")
             if blk.size != size:
                 raise ValueError("block sizes must match the composition")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -104,15 +104,15 @@ def validate(datum: InductionDatum) -> bool:
     return delta(datum) == 0 and not _has_unit_supersingular(datum)
 
 
-@dataclass(frozen=True)
-class IrreducibleRep:
+class IrreducibleRep(Record):
     """A validated canonical induction datum; equality is structural."""
 
-    datum: InductionDatum
+    __slots__ = ("datum",)
 
-    def __post_init__(self):
-        if not validate(self.datum):
+    def __init__(self, datum: InductionDatum):
+        if not validate(datum):
             raise ValueError("datum is not in canonical form")
+        object.__setattr__(self, "datum", datum)
 
     def short(self) -> str:
         parts = []
@@ -125,12 +125,14 @@ class IrreducibleRep:
         return "Ind(" + "|".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class ConstituentPoset:
+class ConstituentPoset(Record):
     """Constituents of an induction datum, ordered by reverse inclusion of
     their free parabolic choices: B_delta on the bits of the element index."""
 
-    elements: tuple        # IrreducibleRep, canonical order
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple):
+        object.__setattr__(self, "elements", elements)  # IrreducibleRep, canonical order
 
     def __len__(self):
         return len(self.elements)
@@ -222,17 +224,20 @@ def lower_sets(leq, k: int):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class SubmoduleLattice:
+class SubmoduleLattice(Record):
     """The submodule lattice of a datum's 2^delta constituents: the lower sets
     of B_delta on their indices, each a sorted tuple; the principal lower set
     at j is the unique submodule with cosocle j."""
 
-    sets: tuple            # all lower sets, sorted by (size, elements)
-    principal: tuple       # per constituent index j, its down-set
-    covers: tuple          # pairs (a, b), sets[b] = sets[a] plus one element, in order
-    socle: tuple           # the minimal constituent, every bit set
-    cosocle: tuple         # the maximal constituent, no bit set
+    __slots__ = ("sets", "principal", "covers", "socle", "cosocle")
+
+    def __init__(self, sets: tuple, principal: tuple, covers: tuple, socle: tuple,
+                 cosocle: tuple):
+        object.__setattr__(self, "sets", sets)  # all lower sets, sorted by (size, elements)
+        object.__setattr__(self, "principal", principal)  # per constituent index j, its down-set
+        object.__setattr__(self, "covers", covers)  # (a, b) in order, sets[b] = sets[a] plus one
+        object.__setattr__(self, "socle", socle)  # the minimal constituent, every bit set
+        object.__setattr__(self, "cosocle", cosocle)  # the maximal constituent, no bit set
 
     @property
     def count(self) -> int:

@@ -27,8 +27,8 @@ import contextlib
 import json
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, NamedTuple
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import classify as cls
@@ -298,15 +298,10 @@ def _hecke0_verify(p, field):
                 and all(res["translation_powers"].values()))
 
 
-class _Param(NamedTuple):
-    """One parameter: the ``--name`` flag (or ``flags``) of the command line and the
-    ``name`` key of a JSON job's params, both read through ``kind``."""
-    name: str
-    kind: Callable
-    required: bool = False
-    default: object = None
-    help: str | None = None
-    flags: tuple = ()
+# One parameter: the ``--name`` flag (or ``flags``) of the command line and the
+# ``name`` key of a JSON job's params, both read through ``kind``.
+_Param = namedtuple("_Param", "name kind required default help flags",
+                    defaults=(False, None, None, ()))
 
 
 def _command(name: str, text: str, handlers, *params: _Param, default=None):

@@ -10,31 +10,29 @@ in characteristic p.  A pair carries one such character per Levi block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .finite_field import FqElem
 from .hecke import HeckeElement, basis_element, satake_T_to_tau
 from .root_datum import StandardParabolic, is_antidominant, pairing
 from .weights import WeightClass, central_character_exponents, restrict_to_levi
 
 
-@dataclass(frozen=True)
-class SmoothCharacter:
+class SmoothCharacter(Record):
     """A smooth character of F^x: value at the uniformizer plus tame exponent."""
 
-    unramified: FqElem
-    tame_exponent: int
-    q: int
+    __slots__ = ("unramified", "tame_exponent", "q")
 
-    def __post_init__(self):
-        if not self.unramified:
+    def __init__(self, unramified: FqElem, tame_exponent: int, q: int):
+        if not unramified:
             raise ValueError("unramified part must be nonzero")
-        p, r = self.field.p, self.q
+        p, r = unramified.field.p, q
         while r > 1 and r % p == 0:
             r //= p
-        if r != 1 or self.q < p:
-            raise ValueError(f"q = {self.q} is not a positive power of the field's p = {p}")
-        object.__setattr__(self, "tame_exponent", self.tame_exponent % (self.q - 1))
+        if r != 1 or q < p:
+            raise ValueError(f"q = {q} is not a positive power of the field's p = {p}")
+        object.__setattr__(self, "unramified", unramified)
+        object.__setattr__(self, "tame_exponent", tame_exponent % (q - 1))
+        object.__setattr__(self, "q", q)
 
     @property
     def field(self):
@@ -61,18 +59,18 @@ def trivial_character(field, q: int) -> SmoothCharacter:
     return SmoothCharacter(field.one, 0, q)
 
 
-@dataclass(frozen=True)
-class ParamPair:
+class ParamPair(Record):
     """A standard Levi together with a character of its connected center,
     stored blockwise."""
 
-    M: StandardParabolic
-    chars: tuple
+    __slots__ = ("M", "chars")
 
-    def __post_init__(self):
-        object.__setattr__(self, "chars", tuple(self.chars))
-        if len(self.chars) != len(self.M.composition):
+    def __init__(self, M: StandardParabolic, chars: tuple):
+        chars = tuple(chars)
+        if len(chars) != len(M.composition):
             raise ValueError("one character per Levi block required")
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "chars", chars)
 
     @property
     def field(self):

@@ -14,9 +14,10 @@ Every divisor is monic: a modulus, or a trial divisor of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from ._record import Record
 
 
 @lru_cache(maxsize=64)
@@ -182,10 +183,22 @@ class FqField:
         return f"FqField(p={self.p}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class FqElem:
-    field: FqField
-    coeffs: tuple
+class FqElem(Record):
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FqField, coeffs: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # written out, as in StandardParabolic and WeightClass: the generic ones are slower
+    def __eq__(self, other):
+        if other.__class__ is not FqElem:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def _check(self, other) -> "FqElem":
         if isinstance(other, FqElem):

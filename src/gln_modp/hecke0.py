@@ -43,10 +43,10 @@ absorbed letters, and the derivation engine packs each module symbol
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 from itertools import islice
 
+from ._record import Record
 from .finite_field import FqField
 
 
@@ -281,31 +281,36 @@ class DerivationCapExceeded(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    index: int
-    operator: str
-    idempotency_round: int
-    vanishing_round: int
-    trace: tuple
-    axiom: str
-    derived: tuple
+class DerivationStep(Record):
+    __slots__ = ("index", "operator", "idempotency_round", "vanishing_round", "trace", "axiom",
+                 "derived")
+
+    def __init__(self, index: int, operator: str, idempotency_round: int, vanishing_round: int,
+                 trace: tuple, axiom: str, derived: tuple):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "idempotency_round", idempotency_round)
+        object.__setattr__(self, "vanishing_round", vanishing_round)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "derived", derived)
 
 
-@dataclass
 class DerivationReport:
-    """The fields are the keys of the JSON report."""
+    """The attributes, in order, are the keys of the JSON report."""
 
-    n: int
-    cap: int
-    status: str = "running"
-    steps: list = dc_field(default_factory=list)
-    final_round: int = -1
-    minimal_sufficient_cap: int = 0
-    conclusion: str = ""
+    def __init__(self, n: int, cap: int, status: str = "running", steps: list | None = None,
+                 final_round: int = -1, minimal_sufficient_cap: int = 0, conclusion: str = ""):
+        self.n = n
+        self.cap = cap
+        self.status = status
+        self.steps = [] if steps is None else steps
+        self.final_round = final_round
+        self.minimal_sufficient_cap = minimal_sufficient_cap
+        self.conclusion = conclusion
 
     def to_json(self):
-        return asdict(self)
+        return {**vars(self), "steps": [{f: getattr(s, f) for f in s._fields} for s in self.steps]}
 
 
 def has_finite_descent(x: tuple) -> bool:
@@ -365,6 +370,7 @@ class _ModuleEngine:
         self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
         self.budget = _ROW_BUDGET[n]
+        self.absorbed = False   # whether the last generator translate absorbed every symbol
         # By Shi's formula l(x) = sum over i<j of |floor((x(j) - x(i))/n)|, a
         # window's max - min is at most n(l + 1), and its mean is (n + 1)/2 + deg;
         # lengths stay at most cap + n^2, so |x(i)| <= n(cap + n^2 + 3) < 2^(w-1).
@@ -402,16 +408,21 @@ class _ModuleEngine:
         the pair a < b that it compares is swapped by one add (digits exchanged,
         length + 1), otherwise absorbed (T_{s_k} T_y = -T_y).  y has no finite
         right descent, so by the exchange condition s_k y has one, s_j, exactly
-        when s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies."""
+        when s_k y = y s_j: b = a + 1 with j = a mod n finite, and the symbol dies.
+        Sets ``absorbed`` when every symbol was absorbed, so the result is -vec."""
         out, p, n = {}, self.p, self.n
         left, right, turn, swap = self._pairs[k]
         mask, unit, finite = (1 << self.width) - 1, 1 << self.top, self.offset % n
+        absorbed = True
         for key, c in vec.items():
             a, b = (key >> left & mask) - turn, key >> right & mask
             if a > b:
                 _accumulate(out, key, p - c, p)
-            elif b != a + 1 or a % n == finite:
-                _accumulate(out, key + (b - a) * swap + unit, c, p)
+            else:
+                absorbed = False
+                if b != a + 1 or a % n == finite:
+                    _accumulate(out, key + (b - a) * swap + unit, c, p)
+        self.absorbed = absorbed
         return out
 
     def rotate(self, a: int, vec):
@@ -476,12 +487,15 @@ class _ModuleEngine:
         length-one generator (rotations are attached for free).  Rows kept
         from Pi^a f are not in the frontier (rule B): S_k Pi = Pi S_{k+1}, so
         S_k Pi^a f is Pi^a S_j f for some j, and f's row comes first, so those
-        translates and their rotations are in the span by their turn."""
+        translates and their rotations are in the span by their turn.  An
+        absorbed translate is -f, in the span as well, and is not inserted."""
         self.depth += 1
         old, self.frontier = self.frontier, []
         for row, d in old:
             for k in range(self.n):
-                self.add_relation(self.generator_translate(k, row), d + 1)
+                translate = self.generator_translate(k, row)
+                if not self.absorbed:
+                    self.add_relation(translate, d + 1)
 
     def ensure_zero(self, vec) -> int:
         """Saturate until the vector reduces to zero; returns the depth of

@@ -23,7 +23,6 @@ radicals and the torus act through generators.  Determinants are Leibniz sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product, takewhile
 from math import prod
@@ -217,18 +216,16 @@ def check_minuscule_satake(n: int, q: int, i: int) -> bool:
 
 # -- explicit tiny weight modules --------------------------------------------
 
-@dataclass
 class TinyWeightModule:
     """An explicit matrix model of a construction, Sym^a or Lambda^k of the
     standard module, irreducible at prime q; its det^b twists share every
     gate verdict, so the gates read the construction alone."""
 
-    q: int
-    gradings: tuple  # integer weight of each basis vector; the first
-                     # spans the highest-weight line
-    _build: object   # callable g -> row tuples of g's matrix
-
-    def __post_init__(self):
+    def __init__(self, q: int, gradings: tuple, _build):
+        self.q = q
+        self.gradings = gradings  # integer weight of each basis vector; the first
+                                  # spans the highest-weight line
+        self._build = _build      # callable g -> row tuples of g's matrix
         self._cache = {}
         self._subspaces = {}  # P -> (V^{N_P}, coinvariant kernel at P)
 

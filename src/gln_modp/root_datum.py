@@ -16,8 +16,9 @@ subset of simple roots is everything except the block boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from ._record import Record
 
 
 def is_antidominant(v) -> bool:
@@ -59,20 +60,27 @@ def fundamental_weight(n: int, i: int):
     return (1,) * i + (0,) * (n - i)
 
 
-@dataclass(frozen=True)
-class StandardParabolic:
+class StandardParabolic(Record):
     """A standard parabolic of GL_n, stored as a composition of n.
 
     The derived simple-root subset ``delta`` consists of all i in 1..n-1
     that are not block boundaries; composition <-> subset is a bijection.
     """
 
-    composition: tuple
+    __slots__ = ("composition",)
 
-    def __post_init__(self):
-        if not self.composition or any(c < 1 for c in self.composition):
+    def __init__(self, composition: tuple):
+        if not composition or any(c < 1 for c in composition):
             raise ValueError("composition parts must be positive")
-        object.__setattr__(self, "composition", tuple(self.composition))
+        object.__setattr__(self, "composition", tuple(composition))
+
+    def __eq__(self, other):
+        if other.__class__ is not StandardParabolic:
+            return NotImplemented
+        return self.composition == other.composition
+
+    def __hash__(self):
+        return hash((self.composition,))
 
     @classmethod
     def full(cls, n: int) -> "StandardParabolic":

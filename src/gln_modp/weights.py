@@ -11,9 +11,9 @@ modules for tiny cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
+from ._record import Record
 from .finite_field import prime_radical
 from .root_datum import StandardParabolic, fundamental_weight, pairing, stab_levi
 
@@ -47,18 +47,26 @@ def _split(nu, M: StandardParabolic):
     return [nu[block.start - 1:block.stop - 1] for block in M.blocks()]
 
 
-@dataclass(frozen=True)
-class WeightClass:
-    """A q-restricted highest weight modulo (q-1)Z(1,...,1)."""
+class WeightClass(Record):
+    """A q-restricted highest weight modulo (q-1)Z(1,...,1); its p, derived
+    from q, is left out of equality and repr."""
 
-    nu: tuple
-    q: int
-    p: int = field(init=False, compare=False, repr=False)
+    _fields = ("nu", "q")
+    __slots__ = _fields + ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", tuple(self.nu))
-        object.__setattr__(self, "p", prime_radical(self.q))
-        _check_block(self.nu, self.q)
+    def __init__(self, nu: tuple, q: int):
+        object.__setattr__(self, "nu", tuple(nu))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", prime_radical(q))
+        _check_block(self.nu, q)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightClass:
+            return NotImplemented
+        return self.nu == other.nu and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.nu, self.q))
 
     @property
     def n(self) -> int:
@@ -75,17 +83,16 @@ def make_weight(nu, q: int) -> WeightClass:
     return WeightClass(_canonical_block(tuple(nu), q), q)
 
 
-@dataclass(frozen=True)
-class LeviWeightClass:
+class LeviWeightClass(Record):
     """A blockwise q-restricted highest weight for a Levi, normalized so the
     last entry of each block lies in [0, q-2]."""
 
-    M: StandardParabolic
-    nu: tuple
-    q: int
+    __slots__ = ("M", "nu", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", tuple(self.nu))
+    def __init__(self, M: StandardParabolic, nu: tuple, q: int):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "nu", tuple(nu))
+        object.__setattr__(self, "q", q)
         prime_radical(self.q)
         if len(self.nu) != self.M.n:
             raise ValueError("rank mismatch")

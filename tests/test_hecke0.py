@@ -504,9 +504,30 @@ def test_derive_multiplies_only_operators_and_translations(monkeypatch):
     assert set(calls) <= others
 
 
-class _FullSaturation(h0mod._ModuleEngine):
-    """The saturation without rules A and B: every rotation translate is
-    inserted, and every kept row enters the frontier."""
+class _Unskipped(h0mod._ModuleEngine):
+    """The engine without the skip of absorbed translates: each generator
+    translate is inserted.  Each one the engine would skip is counted, after
+    checking that it is -f and reduces to zero against the rows so far."""
+
+    skipped = 0
+
+    def expand_once(self):
+        self.depth += 1
+        old, self.frontier = self.frontier, []
+        for row, d in old:
+            for k in range(self.n):
+                translate = self.generator_translate(k, row)
+                if self.absorbed:
+                    assert translate == {key: self.p - c for key, c in row.items()}, (k, row)
+                    assert not self.reduce(translate)[0], (k, row)
+                    self.skipped += 1
+                self.add_relation(translate, d + 1)
+
+
+class _FullSaturation(_Unskipped):
+    """The saturation without rules A and B and without the skip of absorbed
+    translates: every translate is inserted, and every kept row enters the
+    frontier."""
 
     def add_relation(self, vec, depth=0):
         for v in [vec] + [self.rotate(a, vec) for a in range(1, self.n)]:
@@ -546,6 +567,24 @@ def test_skipped_translates_change_nothing(monkeypatch, n, cap):
     assert list(ship_engine.rows.items()) == list(full_engine.rows.items())
     assert ship == full
     assert ship_calls < full_calls
+
+
+# absorbed generator translates per derivation, by (n, cap)
+ABSORBED = {(2, None): 0, (3, None): 5, (4, None): 185, (4, 16): 185, (5, 30): 5718,
+            (5, None): 2944}
+
+
+@pytest.mark.parametrize("n,cap", list(ABSORBED))
+def test_absorbed_translates_reduce_to_zero(monkeypatch, n, cap):
+    # an absorbed translate of a frontier row f is -f: on the engine that
+    # still inserts it, each one reduces to zero and adds no row, and the rows
+    # and the report are the skipping engine's, with one insert less per skip
+    full, full_engine, full_calls = _derive_recording(monkeypatch, _Unskipped, n, cap)
+    ship, ship_engine, ship_calls = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
+    assert full_engine.skipped == ABSORBED[n, cap]
+    assert list(ship_engine.rows.items()) == list(full_engine.rows.items())
+    assert ship == full
+    assert ship_calls == full_calls - full_engine.skipped
 
 
 @pytest.mark.parametrize("n", [3, 4])
