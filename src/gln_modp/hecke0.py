@@ -358,9 +358,9 @@ class _ModuleEngine:
     The engine acts only through two closed forms, with no product and no
     descent scan: ``generator_translate`` (T_{s_k}, one letter) and ``rotate``
     (T_{Pi^a}, a relabelling); ``apply`` walks other left factors' reduced
-    words through them.  Rules A (``add_relation``) and B (``expand_once``)
-    skip only inserts that would reduce to zero and change no state, so the
-    rows are the full saturation's."""
+    words through them.  Rules A (``add_relation``) and B and the absorbed
+    translates (``expand_once``) skip only inserts that would reduce to zero
+    and change no state, so the rows are the full saturation's."""
 
     def __init__(self, n: int, cap: int, p: int):
         self.n = n
