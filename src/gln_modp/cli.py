@@ -98,7 +98,10 @@ def _comp(value, name: str = "") -> StandardParabolic:
 
 
 def _flag(value, name: str) -> bool:
-    return bool(value)
+    """A JSON boolean; a string such as "false", or a number, is not one."""
+    if not isinstance(value, bool):
+        raise SchemaError(f"bad boolean {name} {value!r}")
+    return value
 
 
 def _choice(what: str, *names: str):

@@ -123,8 +123,11 @@ def default_modulus(p: int, m: int):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class FqField:
+class FqField(Record):
     """The field F_{p^m} = F_p[x] / (modulus)."""
+
+    _fields = ("p", "m", "modulus")
+    __slots__ = _fields + ("size", "zero", "one")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not is_prime(p):
@@ -141,12 +144,12 @@ class FqField:
                 raise ValueError("modulus must be monic of degree m")
             if not poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.p = p
-        self.m = m
-        self.modulus = modulus
-        self.size = p ** m
-        self.zero = FqElem(self, (0,) * m)
-        self.one = FqElem(self, (1,) + (0,) * (m - 1))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "size", p ** m)
+        object.__setattr__(self, "zero", FqElem(self, (0,) * m))
+        object.__setattr__(self, "one", FqElem(self, (1,) + (0,) * (m - 1)))
 
     def __call__(self, value) -> "FqElem":
         if isinstance(value, FqElem):
@@ -172,13 +175,6 @@ class FqField:
     def units(self):
         return (x for x in self.elements() if x)
 
-    def __eq__(self, other):
-        return (isinstance(other, FqField)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
     def __repr__(self):
         return f"FqField(p={self.p}, m={self.m})"
 
@@ -189,16 +185,6 @@ class FqElem(Record):
     def __init__(self, field: FqField, coeffs: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
-
-    # written out, as in StandardParabolic and WeightClass: the generic ones are slower
-    def __eq__(self, other):
-        if other.__class__ is not FqElem:
-            return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.field is other.field or self.field == other.field)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def _check(self, other) -> "FqElem":
         if isinstance(other, FqElem):

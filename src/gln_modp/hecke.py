@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from ._record import Record
 from .finite_field import FqField, accumulate
 from .root_datum import (
     StandardParabolic, add, fundamental_antidominant_coweight, interval_above,
@@ -38,7 +39,7 @@ from .root_datum import (
 from .weights import WeightClass
 
 
-class HeckeElement:
+class HeckeElement(Record):
     """A finite formal sum over antidominant coweights.
 
     The weight class fixes the Levi M used by the basis change (it is always
@@ -63,15 +64,10 @@ class HeckeElement:
             c = field(c)
             if c:
                 clean[lam] = c
-        self.weight = weight
-        self.basis = basis
-        self.terms = clean
-        self.field = field
-
-    def __eq__(self, other):
-        return (isinstance(other, HeckeElement)
-                and self.weight == other.weight and self.basis == other.basis
-                and self.field == other.field and self.terms == other.terms)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "field", field)
 
     def __repr__(self):
         parts = " + ".join(f"({c})*{self.basis}_{lam}" for lam, c in sorted(self.terms.items()))

@@ -480,7 +480,7 @@ class _ModuleEngine:
             for a in range(1, self.n):
                 self.insert(self.rotate(a, vec), depth)
             if len(self.rows) > self.budget:
-                raise _RowBudgetSignal(f"row budget of {self.budget} rows exhausted")
+                raise _Exhausted("row budget", f"row budget of {self.budget} rows exhausted")
 
     def expand_once(self):
         """One saturation round: translate every frontier row by each
@@ -505,16 +505,13 @@ class _ModuleEngine:
             if not rem:
                 return used
             if self.depth >= self.cap or not self.frontier:
-                raise _CapSignal()
+                raise _Exhausted("cap")
             self.expand_once()
 
 
-class _CapSignal(Exception):
-    limit = "cap"       # what ran out before a target reduced
-
-
-class _RowBudgetSignal(_CapSignal):
-    limit = "row budget"
+class _Exhausted(Exception):
+    """A limit ran out before a target reduced: its arguments are the limit's
+    name and, for the row budget, the message of DerivationCapExceeded."""
 
 
 def derive_rotation_invariance(n: int, length_cap: int | None = None,
@@ -606,9 +603,10 @@ def derive_rotation_invariance(n: int, length_cap: int | None = None,
         report.status = "derived"
         report.conclusion = "v = Πv"
         return report
-    except _CapSignal as stop:
+    except _Exhausted as stop:
+        limit, *message = stop.args
         report.status = "inconclusive"
         report.conclusion = (
-            f"{stop.limit} exhausted before reduction; no conclusion (not a refutation)")
+            f"{limit} exhausted before reduction; no conclusion (not a refutation)")
         report.minimal_sufficient_cap = cap_used
-        raise DerivationCapExceeded(report, *stop.args) from None
+        raise DerivationCapExceeded(report, *message) from None

@@ -74,14 +74,6 @@ class StandardParabolic(Record):
             raise ValueError("composition parts must be positive")
         object.__setattr__(self, "composition", tuple(composition))
 
-    def __eq__(self, other):
-        if other.__class__ is not StandardParabolic:
-            return NotImplemented
-        return self.composition == other.composition
-
-    def __hash__(self):
-        return hash((self.composition,))
-
     @classmethod
     def full(cls, n: int) -> "StandardParabolic":
         return cls((n,))

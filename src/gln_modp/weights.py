@@ -60,14 +60,6 @@ class WeightClass(Record):
         object.__setattr__(self, "p", prime_radical(q))
         _check_block(self.nu, q)
 
-    def __eq__(self, other):
-        if other.__class__ is not WeightClass:
-            return NotImplemented
-        return self.nu == other.nu and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.nu, self.q))
-
     @property
     def n(self) -> int:
         return len(self.nu)
@@ -114,8 +106,6 @@ def restrict_to_levi(V: WeightClass, P: StandardParabolic) -> LeviWeightClass:
 
     Only the ambient group shrinks; the vector is re-normalized blockwise.
     """
-    if P.n != V.n:
-        raise ValueError("rank mismatch")
     return make_levi_weight(P, V.nu, V.q)
 
 

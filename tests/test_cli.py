@@ -130,6 +130,8 @@ def test_lattice_job_and_dot():
     assert code == 0
     data = json.loads(text)
     assert data["lower_set_count"] == 3
+    job["params"]["dot"] = False
+    assert run_job(job) == (0, text)
     job["params"]["dot"] = True
     code, text = run_job(job)
     assert code == 0
@@ -758,6 +760,13 @@ def test_fractional_max_n_is_a_schema_error():
 def test_boolean_n_is_a_schema_error():
     assert_schema_error(*run_job({"command": "hecke0",
                                   "params": {"action": "verify", "n": True}}))
+
+
+@pytest.mark.parametrize("dot", ["false", "no", "true", 2, 1, 0, None, [True]])
+def test_a_dot_that_is_not_a_json_boolean_is_a_schema_error(dot):
+    code, text = run_job({"command": "lattice", "params": {"q": 3, "datum": DATUM, "dot": dot}})
+    assert (code, json.loads(text)) == (2, {"error": {
+        "kind": "schema", "message": f"bad boolean dot {dot!r}"}})
 
 
 SATAKE_PARAMS = {"n": 2, "q": 3, "nu": "0,0", "lam": "0,0"}

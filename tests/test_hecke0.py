@@ -626,13 +626,15 @@ def test_cap_exceeded_reports_inconclusive(monkeypatch):
     import gln_modp.hecke0 as h0mod
 
     def refuse(self, vec):
-        raise h0mod._CapSignal()
+        raise h0mod._Exhausted("cap")
 
     monkeypatch.setattr(h0mod._ModuleEngine, "ensure_zero", refuse)
     with pytest.raises(DerivationCapExceeded) as exc:
         h0mod.derive_rotation_invariance(2, 4)
     assert exc.value.report.status == "inconclusive"
-    assert "not a refutation" in exc.value.report.conclusion
+    assert exc.value.report.conclusion == (
+        "cap exhausted before reduction; no conclusion (not a refutation)")
+    assert str(exc.value) == "translate length cap 4 exhausted"
 
 
 def _wrong_death_test(self, k, vec):

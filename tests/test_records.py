@@ -1,8 +1,10 @@
 """The value records are plain ``__slots__`` classes on one small base: they
 compare and hash by their fields within one class, refuse assignment and
-print as ``Name(field=value, ...)``; and importing the CLI loads none of the
-heavy standard-library modules that generated classes would pull in."""
+print as ``Name(field=value, ...)``; no other class of the program defines
+equality or hashing; and importing the CLI loads none of the heavy
+standard-library modules that generated classes would pull in."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -15,7 +17,8 @@ from gln_modp.classify import (
     ConstituentPoset, InductionDatum, IrreducibleRep, Steinberg, Supersingular,
     boolean_lower_sets)
 from gln_modp.eigen import ParamPair, SmoothCharacter
-from gln_modp.finite_field import FqElem, FqField
+from gln_modp.finite_field import FqElem, FqField, default_modulus
+from gln_modp.hecke import HeckeElement
 from gln_modp.hecke0 import DerivationStep, derive_rotation_invariance
 from gln_modp.oracle import TinyWeightModule, sym_power_module
 from gln_modp.root_datum import StandardParabolic
@@ -32,7 +35,10 @@ def _values():
     st = Steinberg(2, StandardParabolic((2,)), chi)
     datum = InductionDatum(StandardParabolic((2,)), (st,))
     return [
+        (FqField, {"p": 3, "m": 2, "modulus": default_modulus(3, 2)}),
         (FqElem, {"field": F, "coeffs": (1,)}),
+        (HeckeElement, {"weight": WeightClass((1, 0), 3), "basis": "T",
+                        "terms": {(-1, 0): F(2)}, "field": F}),
         (StandardParabolic, {"composition": (2, 1)}),
         (WeightClass, {"nu": (1, 0), "q": 3}),
         (LeviWeightClass, {"M": StandardParabolic((1, 1)), "nu": (1, 0), "q": 3}),
@@ -66,8 +72,22 @@ def test_equal_values_compare_equal_and_hash_alike(i):
     x, y = _pair(i)
     assert x is not y
     assert x == y and not x != y
-    assert hash(x) == hash(y)
-    assert len({x, y}) == 1
+    if RECORDS[i] is HeckeElement:
+        with pytest.raises(TypeError):   # its terms are a dict
+            hash(x)
+    else:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def test_fields_built_apart_are_one_value():
+    F, G = FqField(3, 2), FqField(3, 2)
+    assert F is not G and F == G and hash(F) == hash(G)
+    assert F == FqField(3, 2, default_modulus(3, 2)) == G
+    assert F((1, 2)) == G((1, 2)) and hash(F((1, 2))) == hash(G((1, 2)))
+    # x^2 + x + 2 is irreducible over F_3 too, but it is another modulus
+    H = FqField(3, 2, (2, 1, 1))
+    assert F != H and F((1, 2)) != H((1, 2))
 
 
 @pytest.mark.parametrize("i", range(len(RECORDS)), ids=[c.__name__ for c in RECORDS])
@@ -105,8 +125,11 @@ def test_fields_can_be_neither_assigned_nor_deleted(i):
 def test_repr_names_the_fields():
     F = FqField(3)
     chi = SmoothCharacter(F(2), 1, 3)
-    # FqElem and StandardParabolic keep their own short forms
+    # FqField, FqElem, HeckeElement and StandardParabolic keep their own short forms
+    assert repr(FqField(3, 2)) == "FqField(p=3, m=2)"
     assert repr(F(2)) == "Fq(2)"
+    assert repr(HeckeElement(WeightClass((1, 0), 3), "T", {(-1, 0): 2, (-2, 0): 1}, F)) == (
+        "(1)*T_(-2, 0) + (2)*T_(-1, 0)")
     assert repr(StandardParabolic((1, 1))) == "P(1, 1)"
     assert repr(chi) == "SmoothCharacter(unramified=Fq(2), tame_exponent=1, q=3)"
     assert repr(LeviWeightClass(StandardParabolic((1, 1)), (1, 0), 3)) == (
@@ -117,10 +140,28 @@ def test_repr_names_the_fields():
         "SubmoduleLattice(sets=((), (1,), (0, 1)), principal=((0, 1), (1,)), "
         "covers=((0, 1), (1, 2)), socle=(1,), cosocle=(0,))")
     for i, cls in enumerate(RECORDS):
-        if cls not in (FqElem, StandardParabolic):
+        if cls not in (FqField, FqElem, HeckeElement, StandardParabolic):
             x, _ = _pair(i)
             inner = ", ".join(f"{k}={v!r}" for k, v in _values()[i][1].items())
             assert repr(x) == f"{cls.__name__}({inner})"
+
+
+def _defines_equality(item) -> bool:
+    """Whether a class-body statement defines or assigns ``__eq__`` or ``__hash__``."""
+    if isinstance(item, ast.FunctionDef):
+        names = {item.name}
+    elif isinstance(item, ast.Assign):
+        names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+    else:
+        names = set()
+    return bool(names & {"__eq__", "__hash__"})
+
+
+def test_only_the_record_base_defines_equality_and_hashing():
+    found = [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef) for item in node.body if _defines_equality(item)]
+    assert found == [("_record.py", "Record")] * 2
 
 
 def test_weight_class_p_is_outside_equality_and_repr():
