@@ -175,9 +175,6 @@ class FqField(Record):
     def units(self):
         return (x for x in self.elements() if x)
 
-    def __repr__(self):
-        return f"FqField(p={self.p}, m={self.m})"
-
 
 class FqElem(Record):
     __slots__ = ("field", "coeffs")

@@ -198,8 +198,8 @@ def _require_rank(n: int, what: str, max_rank: int) -> None:
         raise ValueError(f"{what} is measured up to rank {max_rank}; rank {n} is refused")
 
 
-# the largest rank measured to derive: n = 5 at cap 30 takes a tenth of a
-# second in process; n = 6 needs cap 55 and takes about 4 s at 240 MB
+# the largest rank measured to derive: n = 5 at cap 30 takes about 0.06 s in
+# process; n = 6 needs cap 55 and takes about 2.7 s at 122 MB peak RSS
 _DERIVE_MAX_RANK = 5
 # the largest rank each verify_* check accepts: word_shift grows like n^6
 # and takes under a second at n = 20 in process
@@ -360,13 +360,26 @@ class _ModuleEngine:
     (T_{Pi^a}, a relabelling); ``apply`` walks other left factors' reduced
     words through them.  Rules A (``add_relation``) and B and the absorbed
     translates (``expand_once``) skip only inserts that would reduce to zero
-    and change no state, so the rows are the full saturation's."""
+    and change no state, so the rows are the full saturation's.
+
+    Rows by reference: while the pivot set P is Pi-stable (``stable``), a kept
+    row r whose pivot l is strictly longer than its other keys maps each pivot
+    Pi^a l (0 < a < n) to (r, a, depth); ``reduce`` builds Pi^a r, keys
+    decreasing, on first read and stores it in place.  It is the row that
+    inserting Pi^a vec keeps: rule A keeps the span S Pi-stable, and ``insert``
+    keeps the unique normalised vector of vec + S with no key in P, which
+    Pi^a r is: Pi^a P = P; a key Pi^b l (b < a) of Pi^a r makes Pi^(b-a) l a
+    key of r as long as l, so l, yet Pi^c moves the rotation degree (0 < c < n);
+    Pi keeps the length, the top field, so Pi^a l leads, coefficient 1; and P
+    stays Pi-stable, as Pi^n = 1.  Any other kept row inserts each Pi^a vec at
+    once and clears ``stable``; a derivation does that for one relation at most."""
 
     def __init__(self, n: int, cap: int, p: int):
         self.n = n
         self.cap = cap
         self.p = p
-        self.rows = {}          # pivot key -> (row dict, depth)
+        self.rows = {}          # pivot key -> (row dict r, a, depth): the row Pi^a r
+        self.stable = True      # whether the pivot set is Pi-stable, so rows go by reference
         self.frontier = []      # relation rows inserted at the current depth
         self.depth = 0
         self.budget = _ROW_BUDGET[n]
@@ -450,7 +463,10 @@ class _ModuleEngine:
             key = max(work)
             c = work.pop(key)
             if key in rows:
-                row, d = rows[key]
+                row, a, d = rows[key]
+                if a:       # the row Pi^a r, recorded by reference: build it once
+                    row = dict(sorted(self.rotate(a, row).items(), reverse=True))
+                    rows[key] = (row, 0, d)
                 used = max(used, d)
                 for sym, rc in islice(row.items(), 1, None):   # the pivot comes first
                     _accumulate(work, sym, -c * rc, p)
@@ -467,19 +483,30 @@ class _ModuleEngine:
         p = self.p
         inv = pow(rem[pivot], p - 2, p)
         row = {sym: c * inv % p for sym, c in rem.items()}
-        self.rows[pivot] = (row, depth)
+        self.rows[pivot] = (row, 0, depth)
         return row
 
     def add_relation(self, vec, depth: int = 0):
         """Insert a relation and its free rotation translates; only its own
         row joins the frontier.  Each call inserts a whole Pi-orbit and Pi^n = 1,
         so the span is Pi-stable here: if vec reduces to zero, so does every
-        Pi^k vec, and none is formed (rule A)."""
+        Pi^k vec, and none is formed (rule A).  The orbit's other rows go by
+        reference as the class docstring says, or else are inserted now."""
         if (row := self.insert(vec, depth)) is not None:
             self.frontier.append((row, depth))
-            for a in range(1, self.n):
-                self.insert(self.rotate(a, vec), depth)
-            if len(self.rows) > self.budget:
+            keys, top, rows = iter(row), self.top, self.rows
+            pivot, second = next(keys), next(keys, -1)    # -1 sorts below every length
+            if self.stable and second >> top < pivot >> top:
+                for a in range(1, self.n):      # the pivot Pi^a l, by rotate's formula
+                    head, head_mask, rest_mask, rest, edge, up, down = self._turns[a]
+                    rows[(pivot >> top << top) + ((pivot >> 3 & rest_mask) << rest) + (pivot & 7)
+                         + ((pivot >> head & head_mask) << 3)
+                         + (up if pivot & 7 < edge else down)] = (row, a, depth)
+            else:
+                self.stable = False
+                for a in range(1, self.n):
+                    self.insert(self.rotate(a, vec), depth)
+            if len(rows) > self.budget:
                 raise _Exhausted("row budget", f"row budget of {self.budget} rows exhausted")
 
     def expand_once(self):

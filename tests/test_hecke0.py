@@ -253,10 +253,11 @@ def test_reduce_returns_keys_in_decreasing_order(monkeypatch, n):
     assert derive_rotation_invariance(n, max(n * n, 20)).status == "derived"
     assert max(sizes) > 1
     (engine,) = engines
-    assert len(engine.rows) > 1
-    assert all(l == _length(x) for l, x in (_unpack(engine, key) for key in engine.rows))
-    symbols = [key for row, _ in list(engine.rows.values()) + engine.frontier for key in row]
-    assert all(type(key) is int for key in list(engine.rows) + symbols)
+    rows = _built_rows(engine)
+    assert len(rows) > 1
+    assert all(l == _length(x) for l, x in (_unpack(engine, key) for key in rows))
+    symbols = [key for row, _ in list(rows.values()) + engine.frontier for key in row]
+    assert all(type(key) is int for key in list(rows) + symbols)
 
 
 def test_derivation_report_depends_only_on_the_rank():
@@ -535,7 +536,39 @@ class _FullSaturation(_Unskipped):
                 self.frontier.append((row, depth))
 
 
-def _derive_recording(monkeypatch, engine_class, n, cap):
+class _Eager(h0mod._ModuleEngine):
+    """The engine that inserts every rotation translate of a kept relation at
+    once, reduced in full: the reference for the rows recorded by reference."""
+
+    def add_relation(self, vec, depth=0):
+        if (row := self.insert(vec, depth)) is not None:
+            self.frontier.append((row, depth))
+            for a in range(1, self.n):
+                self.insert(self.rotate(a, vec), depth)
+
+
+class _CountingFallback(h0mod._ModuleEngine):
+    """The shipped engine, counting the kept relations whose rotation rows it
+    inserts at once because its pivot set is no longer Pi-stable."""
+
+    eager = 0
+
+    def add_relation(self, vec, depth=0):
+        before = len(self.rows)
+        super().add_relation(vec, depth)
+        self.eager += len(self.rows) > before and not self.stable
+
+
+def _built_rows(engine):
+    """engine.rows as pivot -> (row, depth) in pivot order, after building
+    every row recorded by reference through a reduction that reads it."""
+    for key in list(engine.rows):
+        engine.reduce({key: 1})
+    assert all(a == 0 for _, a, _ in engine.rows.values())
+    return {key: (row, d) for key, (row, _, d) in engine.rows.items()}
+
+
+def _derive_recording(monkeypatch, engine_class, n, cap, field=None):
     """(report JSON, engine, insert calls) of one derivation on engine_class."""
     engines, calls = [], []
 
@@ -551,7 +584,7 @@ def _derive_recording(monkeypatch, engine_class, n, cap):
     with monkeypatch.context() as m:
         m.setattr(h0mod, "_ModuleEngine", Recording)
         try:
-            report = derive_rotation_invariance(n, cap)
+            report = derive_rotation_invariance(n, cap, field)
         except DerivationCapExceeded as exc:
             report = exc.report
     (engine,) = engines
@@ -564,9 +597,41 @@ def test_skipped_translates_change_nothing(monkeypatch, n, cap):
     # depths and order, and the report equal those of the full saturation
     full, full_engine, full_calls = _derive_recording(monkeypatch, _FullSaturation, n, cap)
     ship, ship_engine, ship_calls = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
-    assert list(ship_engine.rows.items()) == list(full_engine.rows.items())
+    assert list(_built_rows(ship_engine).items()) == list(_built_rows(full_engine).items())
     assert ship == full
     assert ship_calls < full_calls
+
+
+@pytest.mark.parametrize("n,cap", [(n, cap) for n in (2, 3, 4) for cap in (None, 16, 25, 30)]
+                         + [(5, None), (5, 30)])
+def test_rotation_rows_by_reference_equal_the_eager_rows(monkeypatch, n, cap):
+    # each row recorded by reference, once a reduction builds it, is the row
+    # that inserting the rotation translate at once keeps: the same pivot in
+    # the same place, the same keys in the same order, the same depth; the
+    # eager fallback runs for one kept relation at most
+    for p in (2, 3, 5):
+        eager, eager_engine, _ = _derive_recording(monkeypatch, _Eager, n, cap, FqField(p))
+        ship, ship_engine, _ = _derive_recording(monkeypatch, _CountingFallback, n, cap, FqField(p))
+        assert [(key, list(row.items()), d) for key, (row, d) in _built_rows(ship_engine).items()] \
+            == [(key, list(row.items()), d) for key, (row, d) in _built_rows(eager_engine).items()]
+        assert ship == eager
+        assert ship_engine.eager <= 1
+
+
+def test_a_pivot_set_that_is_not_rotation_stable_stops_rows_by_reference():
+    # at n = 2, v + Pi v has two keys of length 0: its rotation translate is
+    # itself, so the pivot set {l} is not Pi-stable; the other key Pi l, as a
+    # relation, must then be inserted at once, not filed over the row of l
+    engines = [h0mod._ModuleEngine(2, 4, 3), _Eager(2, 4, 3)]
+    assert engines[0].stable
+    for engine in engines:
+        v = engine.symbol(0, identity(2))
+        (pi_v,) = engine.rotate(1, {v: 1})
+        engine.add_relation({v: 1, pi_v: 1})
+        engine.add_relation({min(v, pi_v): 1})
+    assert not engines[0].stable
+    assert _built_rows(engines[0]) == _built_rows(engines[1])
+    assert len(engines[0].rows) == 2
 
 
 # absorbed generator translates per derivation, by (n, cap)
@@ -582,7 +647,7 @@ def test_absorbed_translates_reduce_to_zero(monkeypatch, n, cap):
     full, full_engine, full_calls = _derive_recording(monkeypatch, _Unskipped, n, cap)
     ship, ship_engine, ship_calls = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
     assert full_engine.skipped == ABSORBED[n, cap]
-    assert list(ship_engine.rows.items()) == list(full_engine.rows.items())
+    assert list(_built_rows(ship_engine).items()) == list(_built_rows(full_engine).items())
     assert ship == full
     assert ship_calls == full_calls - full_engine.skipped
 
@@ -591,8 +656,9 @@ def test_absorbed_translates_reduce_to_zero(monkeypatch, n, cap):
 def test_row_span_is_rotation_stable(monkeypatch, n):
     # rule A's premise: every rotation translate of every row reduces to zero
     _, engine, _ = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, None)
-    assert len(engine.rows) > 10
-    for row, _ in engine.rows.values():
+    rows = _built_rows(engine)
+    assert len(rows) > 10
+    for row, _ in rows.values():
         for k in range(1, n):
             assert not engine.reduce(engine.apply(rotation(n, k), row))[0], (row, k)
 
@@ -779,10 +845,8 @@ def test_engine_products_match_right_word_reference(monkeypatch, n, cap, longest
     monkeypatch.setattr(h0mod._ModuleEngine, "generator_translate",
                         recording(generator_translate, simple))
     monkeypatch.setattr(h0mod._ModuleEngine, "rotate", recording(rotate, rotation))
-    try:
-        derive_rotation_invariance(n, cap)
-    except DerivationCapExceeded:
-        pass
+    _, engine, _ = _derive_recording(monkeypatch, h0mod._ModuleEngine, n, cap)
+    _built_rows(engine)
     pairs = sorted(seen)
     assert max(_length(y) for _, (_, y) in pairs) >= longest
     if len(pairs) > 1500:

@@ -125,8 +125,10 @@ def test_fields_can_be_neither_assigned_nor_deleted(i):
 def test_repr_names_the_fields():
     F = FqField(3)
     chi = SmoothCharacter(F(2), 1, 3)
-    # FqField, FqElem, HeckeElement and StandardParabolic keep their own short forms
-    assert repr(FqField(3, 2)) == "FqField(p=3, m=2)"
+    # FqElem, HeckeElement and StandardParabolic keep their own short forms;
+    # an FqField prints its modulus, so fields that differ print differently
+    assert repr(FqField(3, 2)) == "FqField(p=3, m=2, modulus=(1, 0, 1))"
+    assert repr(FqField(3, 2, (2, 1, 1))) == "FqField(p=3, m=2, modulus=(2, 1, 1))"
     assert repr(F(2)) == "Fq(2)"
     assert repr(HeckeElement(WeightClass((1, 0), 3), "T", {(-1, 0): 2, (-2, 0): 1}, F)) == (
         "(1)*T_(-2, 0) + (2)*T_(-1, 0)")
